@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use prosel_engine::{run_plan, Catalog, ExecConfig};
-use prosel_estimators::{EstimatorKind, PipelineObs};
+use prosel_estimators::{EstimatorKind, IncrementalObs};
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::PlanBuilder;
 use std::hint::black_box;
@@ -18,16 +18,18 @@ fn bench_estimators(c: &mut Criterion) {
     let run = run_plan(&catalog, &plan, &ExecConfig::default());
     let ctx = prosel_estimators::TraceCtx::new(&run);
     let pid = (0..run.pipelines.len())
-        .max_by_key(|&p| PipelineObs::with_ctx(&run, p, &ctx).map_or(0, |o| o.len()))
+        .max_by_key(|&p| IncrementalObs::with_ctx(&run, p, &ctx).map_or(0, |o| o.len()))
         .unwrap();
 
     let mut group = c.benchmark_group("estimators");
-    // Building the per-pipeline observation state (bounds, aggregates).
+    // Replaying one pipeline's trace into its observation state (plan copy,
+    // bounds, aggregates, every maintained curve).
     group.bench_function("pipeline_obs_build", |b| {
-        b.iter(|| black_box(PipelineObs::new(&run, pid).unwrap()))
+        b.iter(|| black_box(IncrementalObs::replay(&run, pid).unwrap()))
     });
-    // Rendering one estimator curve from the prepared state.
-    let obs = PipelineObs::with_ctx(&run, pid, &ctx).unwrap();
+    // Reading one estimator curve from the replayed state (online kinds
+    // are borrowed, not recomputed).
+    let obs = IncrementalObs::with_ctx(&run, pid, &ctx).unwrap();
     for kind in [EstimatorKind::Dne, EstimatorKind::Tgn, EstimatorKind::Luo] {
         group.bench_function(format!("curve_{}", kind.name()), |b| {
             b.iter(|| black_box(obs.curve(kind)))

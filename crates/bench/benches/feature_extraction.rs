@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use prosel_core::features;
 use prosel_engine::{run_plan, Catalog, ExecConfig};
-use prosel_estimators::PipelineObs;
+use prosel_estimators::IncrementalObs;
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::PlanBuilder;
 use std::hint::black_box;
@@ -19,9 +19,9 @@ fn bench_features(c: &mut Criterion) {
     let run = run_plan(&catalog, &plan, &ExecConfig::default());
     let ctx = prosel_estimators::TraceCtx::new(&run);
     let pid = (0..run.pipelines.len())
-        .max_by_key(|&p| PipelineObs::with_ctx(&run, p, &ctx).map_or(0, |o| o.len()))
+        .max_by_key(|&p| IncrementalObs::with_ctx(&run, p, &ctx).map_or(0, |o| o.len()))
         .unwrap();
-    let obs = PipelineObs::with_ctx(&run, pid, &ctx).unwrap();
+    let obs = IncrementalObs::with_ctx(&run, pid, &ctx).unwrap();
 
     c.bench_function("feature_extract_full", |b| {
         b.iter(|| black_box(features::extract(&run, &obs)))

@@ -18,7 +18,7 @@ use prosel_core::selection::{EstimatorSelector, SelectorConfig};
 use prosel_core::training::{FeatureMode, TrainingSet};
 use prosel_datagen::TuningLevel;
 use prosel_engine::{run_plan, Catalog, ExecConfig};
-use prosel_estimators::{l1_error, EstimatorKind, PipelineObs, TraceCtx};
+use prosel_estimators::{l1_error, EstimatorKind, IncrementalObs, TraceCtx};
 use prosel_mart::{Dataset, Mart};
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::PlanBuilder;
@@ -155,12 +155,12 @@ fn fit_weights(spec: &WorkloadSpec) -> Vec<f64> {
         let run = run_plan(&catalog, &plan, &ExecConfig { seed: qi as u64, ..Default::default() });
         let ctx = TraceCtx::new(&run);
         for pid in 0..run.pipelines.len() {
-            let Some(obs) = PipelineObs::with_ctx(&run, pid, &ctx) else { continue };
+            let Some(obs) = IncrementalObs::with_ctx(&run, pid, &ctx) else { continue };
             if obs.len() < 5 {
                 continue;
             }
             let truth = obs.truth();
-            let curves: Vec<Vec<f64>> = kinds.iter().map(|&k| obs.curve(k)).collect();
+            let curves: Vec<_> = kinds.iter().map(|&k| obs.curve(k)).collect();
             for j in 0..obs.len() {
                 for a in 0..kinds.len() {
                     for b in 0..kinds.len() {
@@ -187,12 +187,12 @@ fn combo_error(spec: &WorkloadSpec, weights: &[f64]) -> (f64, usize) {
         let run = run_plan(&catalog, &plan, &ExecConfig { seed: qi as u64, ..Default::default() });
         let ctx = TraceCtx::new(&run);
         for pid in 0..run.pipelines.len() {
-            let Some(obs) = PipelineObs::with_ctx(&run, pid, &ctx) else { continue };
+            let Some(obs) = IncrementalObs::with_ctx(&run, pid, &ctx) else { continue };
             if obs.len() < 5 {
                 continue;
             }
             let truth = obs.truth();
-            let curves: Vec<Vec<f64>> = kinds.iter().map(|&k| obs.curve(k)).collect();
+            let curves: Vec<_> = kinds.iter().map(|&k| obs.curve(k)).collect();
             let combined: Vec<f64> = (0..obs.len())
                 .map(|j| {
                     curves.iter().zip(weights).map(|(c, &w)| c[j] * w).sum::<f64>().clamp(0.0, 1.0)

@@ -14,19 +14,19 @@ use crate::suite::{ExpScale, Suite};
 use prosel_datagen::TuningLevel;
 use prosel_engine::plan::OperatorKind;
 use prosel_engine::{run_plan, Catalog, ExecConfig};
-use prosel_estimators::{EstimatorKind, PipelineObs};
+use prosel_estimators::{EstimatorKind, IncrementalObs};
 use prosel_planner::query::{FilterSpec, JoinSpec, QuerySpec, TableRef};
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::{PlanBuilder, PlannerConfig};
 
 fn curve_table(
     title: &str,
-    obs: &PipelineObs<'_>,
+    obs: &IncrementalObs,
     kinds: &[EstimatorKind],
     points: usize,
 ) -> String {
     let truth = obs.truth();
-    let curves: Vec<(EstimatorKind, Vec<f64>)> = kinds.iter().map(|&k| (k, obs.curve(k))).collect();
+    let curves: Vec<_> = kinds.iter().map(|&k| (k, obs.curve(k))).collect();
     let mut header = vec!["time%", "true"];
     for (k, _) in &curves {
         header.push(k.name());
@@ -95,7 +95,7 @@ pub fn run_fig6(_suite: &mut Suite, _scale: ExpScale) -> String {
         .iter()
         .position(|p| !p.batch_sort_nodes.is_empty())
         .expect("batch-sort pipeline");
-    let obs = PipelineObs::new(&run, pid).expect("observations");
+    let obs = IncrementalObs::replay(&run, pid).expect("observations");
     let mut out = format!(
         "Figure 6 — nested-loop + batch-sort pipeline ({} obs)\nplan:\n{}\n",
         obs.len(),
@@ -163,10 +163,10 @@ pub fn run_fig7(_suite: &mut Suite, _scale: ExpScale) -> String {
     let ctx = prosel_estimators::TraceCtx::new(&run);
     // Use the final (largest) probe pipeline.
     let pid = (0..run.pipelines.len())
-        .filter(|&p| PipelineObs::with_ctx(&run, p, &ctx).map_or(0, |o| o.len()) >= 10)
+        .filter(|&p| IncrementalObs::with_ctx(&run, p, &ctx).map_or(0, |o| o.len()) >= 10)
         .max_by_key(|&p| run.pipelines[p].nodes.len())
         .expect("probe pipeline");
-    let obs = PipelineObs::with_ctx(&run, pid, &ctx).expect("observations");
+    let obs = IncrementalObs::with_ctx(&run, pid, &ctx).expect("observations");
     let mut out = format!(
         "Figure 7 — complex hash-join pipeline ({} obs)\nplan:\n{}\n",
         obs.len(),

@@ -15,7 +15,7 @@
 //!   incorporate the actual passage of time.
 
 use crate::features::schema::{COR_ESTIMATORS, COR_POINTS, DIFF_PAIRS, X_MARKERS};
-use prosel_estimators::{EstimatorKind, ObsView};
+use prosel_estimators::{EstimatorKind, IncrementalObs};
 
 fn kind_by_name(name: &str) -> EstimatorKind {
     match name {
@@ -31,19 +31,19 @@ fn kind_by_name(name: &str) -> EstimatorKind {
 
 /// First observation index where the driver fraction reaches `frac`
 /// (clamped to the last observation when never reached).
-fn marker(obs: &impl ObsView, frac: f64) -> usize {
+fn marker(obs: &IncrementalObs, frac: f64) -> usize {
     let df = obs.driver_fraction();
     df.iter().position(|&a| a >= frac).unwrap_or(df.len().saturating_sub(1))
 }
 
 /// Extract the dynamic feature suffix.
 ///
-/// Generic over [`ObsView`] so the same definitions serve the post-hoc
-/// path (batch `PipelineObs`) and the live path (`IncrementalObs` fed by
-/// the monitor): on a prefix of a run, markers not yet reached clamp to
+/// The same definitions serve a replayed run (offline records) and the
+/// live monitor: on a prefix of a run, markers not yet reached clamp to
 /// the latest observation, giving the *provisional* dynamic features the
-/// online re-selection uses until the real markers arrive.
-pub fn extract(obs: &impl ObsView) -> Vec<f32> {
+/// online re-selection uses until the real markers arrive. The estimator
+/// curves are borrowed from `obs`, never copied.
+pub fn extract(obs: &IncrementalObs) -> Vec<f32> {
     let curves: Vec<(EstimatorKind, std::borrow::Cow<'_, [f64]>)> = COR_ESTIMATORS
         .iter()
         .map(|&name| {
@@ -55,8 +55,8 @@ pub fn extract(obs: &impl ObsView) -> Vec<f32> {
         curves.iter().find(|(kk, _)| *kk == k).expect("curve").1.as_ref()
     };
 
-    let start = obs.window_start();
-    let times = obs.obs_times();
+    let start = obs.window().0;
+    let times = obs.times();
     let mut out = Vec::with_capacity(DIFF_PAIRS.len() * X_MARKERS.len() + 120);
 
     // Pairwise differences at t{x}.
@@ -94,7 +94,6 @@ mod tests {
     use super::*;
     use crate::features::schema::FeatureSchema;
     use prosel_engine::{run_plan, Catalog, ExecConfig};
-    use prosel_estimators::PipelineObs;
     use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
     use prosel_planner::PlanBuilder;
 
@@ -112,7 +111,7 @@ mod tests {
                 run_plan(&catalog, &plan, &ExecConfig { seed: qi as u64, ..ExecConfig::default() });
             let ctx = prosel_estimators::TraceCtx::new(&run);
             for pid in 0..run.pipelines.len() {
-                if let Some(obs) = PipelineObs::with_ctx(&run, pid, &ctx) {
+                if let Some(obs) = IncrementalObs::with_ctx(&run, pid, &ctx) {
                     let v = extract(&obs);
                     assert_eq!(v.len(), s.len() - s.static_len());
                     assert!(v.iter().all(|x| x.is_finite()));
@@ -131,7 +130,7 @@ mod tests {
         let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
         let plan = builder.build(&w.queries[0]).unwrap();
         let run = run_plan(&catalog, &plan, &ExecConfig::default());
-        if let Some(obs) = PipelineObs::new(&run, 0) {
+        if let Some(obs) = IncrementalObs::replay(&run, 0) {
             let mut prev = 0usize;
             for x in X_MARKERS {
                 let j = marker(&obs, x as f64 / 100.0);

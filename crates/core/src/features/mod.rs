@@ -16,12 +16,12 @@ pub mod schema;
 pub mod static_features;
 
 use prosel_engine::QueryRun;
-use prosel_estimators::PipelineObs;
+use prosel_estimators::IncrementalObs;
 
 pub use schema::FeatureSchema;
 
 /// Extract the full feature vector (static ++ dynamic) for one pipeline.
-pub fn extract(run: &QueryRun, obs: &PipelineObs<'_>) -> Vec<f32> {
+pub fn extract(run: &QueryRun, obs: &IncrementalObs) -> Vec<f32> {
     let mut v = static_features::extract(run, obs.pipeline_id());
     v.extend(dynamic_features::extract(obs));
     debug_assert_eq!(v.len(), FeatureSchema::get().len());

@@ -7,9 +7,7 @@
 use crate::features;
 use prosel_engine::plan::{OperatorKind, PhysicalPlan};
 use prosel_engine::{run_plan, Catalog, ExecConfig, Pipeline, QueryRun};
-use prosel_estimators::{
-    l1_error, l2_error, EstimatorKind, IncrementalObs, ObsView, PipelineObs, TraceCtx,
-};
+use prosel_estimators::{l1_error, l2_error, EstimatorKind, IncrementalObs, TraceCtx};
 use prosel_planner::workload::{materialize, Workload, WorkloadSpec};
 use prosel_planner::PlanBuilder;
 
@@ -105,13 +103,10 @@ impl Default for CollectConfig {
 }
 
 /// Candidate + oracle error labels of one observation sequence against its
-/// truth curve. Generic over [`ObsView`] so the batch path
-/// ([`PipelineObs`]) and the online harvest path ([`IncrementalObs`])
-/// run the identical accumulation — their label bit-identity reduces to
-/// curve bit-identity, which the incremental protocol guarantees.
+/// truth curve. Online curves are borrowed, not copied.
 #[allow(clippy::type_complexity)]
 fn errors_against_truth(
-    obs: &impl ObsView,
+    obs: &IncrementalObs,
     truth: &[f64],
 ) -> (Vec<f32>, Vec<f32>, [f32; 2], [f32; 2]) {
     let mut errors_l1 = Vec::with_capacity(EstimatorKind::CANDIDATES.len());
@@ -133,7 +128,9 @@ fn errors_against_truth(
     (errors_l1, errors_l2, oracle_l1, oracle_l2)
 }
 
-/// Execute one query run and append its pipeline records.
+/// Append the records of one executed query run: each pipeline's trace is
+/// replayed through the curve engine and harvested exactly as the live
+/// monitor harvests a finished query ([`record_from_online`]).
 pub fn records_from_run(
     run: &QueryRun,
     workload: &str,
@@ -141,47 +138,33 @@ pub fn records_from_run(
     min_observations: usize,
     out: &mut Vec<PipelineRecord>,
 ) {
-    // One refinement-bound pass per snapshot, shared by every pipeline.
+    // One plan copy and one refinement-bound pass per snapshot, shared by
+    // every pipeline.
     let ctx = TraceCtx::new(run);
     for pid in 0..run.pipelines.len() {
-        let Some(obs) = PipelineObs::with_ctx(run, pid, &ctx) else { continue };
-        if obs.len() < min_observations {
-            continue;
-        }
-        let truth = obs.truth();
-        let (errors_l1, errors_l2, oracle_l1, oracle_l2) = errors_against_truth(&obs, &truth);
-        out.push(PipelineRecord {
-            workload: workload.to_string(),
+        let Some(obs) = IncrementalObs::with_ctx(run, pid, &ctx) else { continue };
+        out.extend(record_from_online(
+            &run.plan,
+            &obs,
+            workload,
             query_idx,
-            pipeline_id: pid,
-            features: features::extract(run, &obs),
-            errors_l1,
-            errors_l2,
-            total_getnext: obs.total_getnext(),
-            weight: run.pipeline_weight(pid),
-            n_obs: obs.len(),
-            fingerprint: pipeline_fingerprint(run, pid),
-            oracle_l1,
-            oracle_l2,
-        });
+            run.pipeline_weight(pid),
+            min_observations,
+        ));
     }
 }
 
-/// One labelled record harvested from a *finalized* online observation
-/// state — the monitor's feedback path (ROADMAP: "mining the logged
-/// switch points into training records"). Produces exactly what
-/// [`records_from_run`] would extract for the same pipeline of the same
-/// execution — features and labels **bit-identical** to the batch path
-/// (`tests/harvest_equivalence.rs` pins this contract) — because every
-/// ingredient is shared: static features come from the same
-/// plan-and-pipeline extraction, dynamic features from the same
-/// [`ObsView`] definitions, truth and totals from the finalized
-/// incremental state (bit-identical to the batch trace by the incremental
-/// protocol), and error accumulation from the same private helper.
+/// One labelled record harvested from a *finalized* observation state —
+/// the monitor's feedback path, and (on a replayed trace) the offline
+/// [`records_from_run`]. Static features come from the plan-and-pipeline
+/// extraction, dynamic features, truth, totals and error labels from the
+/// finalized incremental state, so a live harvest and an offline
+/// extraction of the same execution agree bit for bit
+/// (`tests/harvest_equivalence.rs` pins this contract).
 ///
 /// `weight` is the pipeline's eq. (5) weight (the monitor holds it from
 /// registration). Returns `None` when the pipeline committed fewer than
-/// `min_observations` observations — the batch skip rule.
+/// `min_observations` observations.
 ///
 /// # Panics
 /// Panics if `obs` is not finalized (labels need the final window).

@@ -11,7 +11,7 @@ use crate::features;
 use crate::selection::EstimatorSelector;
 use crate::training::FeatureMode;
 use prosel_engine::QueryRun;
-use prosel_estimators::{EstimatorKind, PipelineObs, TraceCtx};
+use prosel_estimators::{EstimatorKind, IncrementalObs, TraceCtx};
 
 /// One point of a monitored query's progress history.
 #[derive(Debug, Clone, Copy)]
@@ -52,7 +52,8 @@ impl<'a> ProgressMonitor<'a> {
         let mut acc = vec![0.0f64; n_snaps];
         let mut total_weight = 0.0f64;
         let mut choices = Vec::new();
-        // One refinement-bound pass per snapshot, shared by every pipeline.
+        // One plan copy and one refinement-bound pass per snapshot, shared
+        // by every pipeline's replay.
         let ctx = TraceCtx::new(run);
 
         for pid in 0..run.pipelines.len() {
@@ -61,7 +62,7 @@ impl<'a> ProgressMonitor<'a> {
                 continue;
             }
             total_weight += weight;
-            let Some(obs) = PipelineObs::with_ctx(run, pid, &ctx) else {
+            let Some(obs) = IncrementalObs::with_ctx(run, pid, &ctx) else {
                 // Too short to observe: counts as done once its window passed.
                 let (_, end) = run.trace.pipeline_windows[pid];
                 for (j, s) in run.trace.snapshots.iter().enumerate() {
@@ -94,16 +95,17 @@ impl<'a> ProgressMonitor<'a> {
                 .unwrap_or(obs.len().saturating_sub(1));
             let c_init = obs.curve(static_choice);
             let c_rev = obs.curve(revised_choice);
-            let (start, _) = obs.window;
+            let (start, _) = obs.window();
+            let last = obs.serial(obs.len() - 1) as usize;
             let mut ci = 0usize;
             for (j, s) in run.trace.snapshots.iter().enumerate() {
                 if s.time < start {
                     continue;
                 }
-                while ci + 1 < obs.obs.len() && obs.obs[ci + 1] <= j {
+                while ci + 1 < obs.len() && obs.serial(ci + 1) as usize <= j {
                     ci += 1;
                 }
-                if j > *obs.obs.last().unwrap() {
+                if j > last {
                     acc[j] += weight; // pipeline finished
                 } else {
                     let v = if ci < marker { c_init[ci] } else { c_rev[ci] };

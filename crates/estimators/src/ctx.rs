@@ -3,29 +3,28 @@
 //! The worst-case bound refinement of \[6\] ([`crate::refine::bounds`]) is
 //! a bottom-up pass over the *whole plan* — it depends only on the plan and
 //! the counter vector of one snapshot, never on which pipeline is being
-//! estimated. Before this module existed, both evaluation paths recomputed
-//! it once **per pipeline per snapshot**: the batch [`PipelineObs`] inside
-//! its per-observation loop, and the online
-//! [`crate::incremental::IncrementalObs`] inside every `offer`. For a
-//! query with P pipelines that is O(P · plan) work per snapshot for a
-//! quantity that is identical across the P computations.
+//! estimated. Recomputing it inside every pipeline's
+//! [`IncrementalObs`] would cost O(P · plan) per snapshot for a query with
+//! P pipelines, for a quantity that is identical across the P
+//! computations.
 //!
 //! [`SnapshotCtx`] hoists the computation: it is built **once per query
 //! per snapshot** and handed to every pipeline consumer —
-//! [`IncrementalObs::offer_shared`] on the live path,
-//! [`PipelineObs::with_ctx`] (via [`TraceCtx`]) on the batch path. Because
-//! `bounds` is a pure function of `(plan, k)`, sharing the result is
-//! exactly equivalent to recomputing it: curves are bit-identical either
-//! way (the existing online/offline equivalence property tests pin this
-//! down).
+//! [`IncrementalObs::offer_view`] on the live monitor path, and
+//! [`IncrementalObs::with_ctx`] (via [`TraceCtx`]) when a finished run's
+//! trace is replayed offline. Because `bounds` is a pure function of
+//! `(plan, k)`, sharing the result is exactly equivalent to recomputing
+//! it: curves are bit-identical either way.
 //!
-//! [`PipelineObs`]: crate::pipeline_obs::PipelineObs
-//! [`IncrementalObs::offer_shared`]: crate::incremental::IncrementalObs::offer_shared
-//! [`PipelineObs::with_ctx`]: crate::pipeline_obs::PipelineObs::with_ctx
+//! [`IncrementalObs`]: crate::incremental::IncrementalObs
+//! [`IncrementalObs::offer_view`]: crate::incremental::IncrementalObs::offer_view
+//! [`IncrementalObs::with_ctx`]: crate::incremental::IncrementalObs::with_ctx
 
 use crate::refine::bounds;
+use crate::soa::BoundsKernel;
 use prosel_engine::plan::PhysicalPlan;
 use prosel_engine::trace::{QueryRun, Snapshot};
+use std::sync::Arc;
 
 /// Per-snapshot derived state shared by every pipeline of a query: the
 /// refinement bounds `(lb, ub)` on each node's total GetNext calls, given
@@ -39,11 +38,12 @@ pub struct SnapshotCtx {
 }
 
 impl SnapshotCtx {
-    /// Compute the context for one snapshot — the single O(plan) bound
-    /// pass that all pipelines of the query then share. Allocates the two
-    /// bound vectors; long-lived consumers (the monitor shard) keep one
-    /// [`SnapshotCtx`] per query and refresh it in place with
-    /// [`Self::recompute`] instead.
+    /// Compute the context for one snapshot with the scalar reference
+    /// [`bounds`] pass. Serves the one-pipeline
+    /// [`IncrementalObs::offer`](crate::incremental::IncrementalObs::offer)
+    /// convenience and tests; long-lived consumers (the monitor shard,
+    /// [`TraceCtx`]) fill contexts through a compiled [`BoundsKernel`]
+    /// with [`Self::recompute`] instead.
     pub fn new(plan: &PhysicalPlan, snap: &Snapshot) -> SnapshotCtx {
         let (lb, ub) = bounds(plan, &snap.k);
         SnapshotCtx { lb, ub }
@@ -57,7 +57,7 @@ impl SnapshotCtx {
     /// Refresh the bounds in place from a compiled kernel — the
     /// allocation-free per-snapshot path. Bit-identical to
     /// [`Self::new`] on the kernel's plan (see [`crate::soa`]).
-    pub fn recompute(&mut self, kernel: &crate::soa::BoundsKernel, k: &[u64]) {
+    pub fn recompute(&mut self, kernel: &BoundsKernel, k: &[u64]) {
         kernel.eval_into(k, &mut self.lb, &mut self.ub);
     }
 
@@ -66,10 +66,10 @@ impl SnapshotCtx {
     /// `GetNext` counters moved, and bounds at earlier positions are pure
     /// functions of unchanged inputs, so leaving them in place is
     /// bit-identical to a full pass (see
-    /// [`BoundsKernel::position_of`][crate::soa::BoundsKernel::position_of]).
+    /// [`BoundsKernel::position_of`]).
     /// Falls back to a full evaluation when the context has not been
     /// sized for this kernel yet.
-    pub fn refresh_from(&mut self, kernel: &crate::soa::BoundsKernel, k: &[u64], from: usize) {
+    pub fn refresh_from(&mut self, kernel: &BoundsKernel, k: &[u64], from: usize) {
         if self.lb.len() != kernel.width() {
             kernel.eval_into(k, &mut self.lb, &mut self.ub);
         } else {
@@ -88,20 +88,38 @@ impl SnapshotCtx {
 }
 
 /// [`SnapshotCtx`] for every snapshot of a completed run, built once and
-/// shared across all [`PipelineObs::with_ctx`] constructions for that run.
+/// shared across all [`IncrementalObs::with_ctx`] replays of that run's
+/// pipelines, together with the one copy of the run's plan they share.
 ///
-/// [`PipelineObs::with_ctx`]: crate::pipeline_obs::PipelineObs::with_ctx
+/// [`IncrementalObs::with_ctx`]: crate::incremental::IncrementalObs::with_ctx
 #[derive(Debug, Clone)]
 pub struct TraceCtx {
+    plan: Arc<PhysicalPlan>,
     snapshots: Vec<SnapshotCtx>,
 }
 
 impl TraceCtx {
-    /// Precompute the shared context of every snapshot in `run`'s trace.
+    /// Precompute the shared context of every snapshot in `run`'s trace
+    /// through one compiled [`BoundsKernel`] (bit-identical to the scalar
+    /// [`bounds`]; see [`crate::soa`]).
     pub fn new(run: &QueryRun) -> TraceCtx {
-        TraceCtx {
-            snapshots: run.trace.snapshots.iter().map(|s| SnapshotCtx::new(&run.plan, s)).collect(),
-        }
+        let kernel = BoundsKernel::new(&run.plan);
+        let snapshots = run
+            .trace
+            .snapshots
+            .iter()
+            .map(|s| {
+                let mut ctx = SnapshotCtx::empty();
+                ctx.recompute(&kernel, &s.k);
+                ctx
+            })
+            .collect();
+        TraceCtx { plan: Arc::new(run.plan.clone()), snapshots }
+    }
+
+    /// The run's plan, shared by every pipeline replayed from this context.
+    pub fn plan(&self) -> &Arc<PhysicalPlan> {
+        &self.plan
     }
 
     /// The shared context of snapshot `j` (trace index).

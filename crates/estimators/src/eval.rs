@@ -7,8 +7,8 @@
 //! estimator discussion.
 
 use crate::ctx::TraceCtx;
+use crate::incremental::IncrementalObs;
 use crate::kinds::EstimatorKind;
-use crate::pipeline_obs::PipelineObs;
 use prosel_engine::trace::QueryRun;
 
 /// Mean absolute error between two aligned curves.
@@ -63,32 +63,16 @@ pub struct EstimatorError {
     pub ratio: f64,
 }
 
-/// Evaluate `kinds` on pipeline `pid` of a run. `None` when the pipeline
-/// has no observations.
-///
-/// Evaluating **several pipelines of the same run**? Build one
-/// [`TraceCtx`] and call [`evaluate_pipeline_shared`] so the per-snapshot
-/// bound pass is shared instead of recomputed per pipeline.
-pub fn evaluate_pipeline(
-    run: &QueryRun,
-    pid: usize,
-    kinds: &[EstimatorKind],
-) -> Option<Vec<EstimatorError>> {
-    evaluate_with(PipelineObs::new(run, pid)?, kinds)
-}
-
-/// [`evaluate_pipeline`] with the per-snapshot refinement bounds shared
-/// across the run's pipelines.
+/// Evaluate `kinds` on pipeline `pid` of a run, replayed with the run's
+/// shared [`TraceCtx`] (build it once and pass it for every pipeline).
+/// `None` when the pipeline has no observations.
 pub fn evaluate_pipeline_shared(
     run: &QueryRun,
     pid: usize,
     kinds: &[EstimatorKind],
     ctx: &TraceCtx,
 ) -> Option<Vec<EstimatorError>> {
-    evaluate_with(PipelineObs::with_ctx(run, pid, ctx)?, kinds)
-}
-
-fn evaluate_with(obs: PipelineObs<'_>, kinds: &[EstimatorKind]) -> Option<Vec<EstimatorError>> {
+    let obs = IncrementalObs::with_ctx(run, pid, ctx)?;
     let truth = obs.truth();
     Some(
         kinds
@@ -122,7 +106,7 @@ pub fn query_progress_curve(run: &QueryRun, choose: impl Fn(usize) -> EstimatorK
             continue;
         }
         total_weight += weight;
-        let Some(obs) = PipelineObs::with_ctx(run, pid, &ctx) else {
+        let Some(obs) = IncrementalObs::with_ctx(run, pid, &ctx) else {
             // Pipeline too fast to observe: contributes its full weight
             // from the moment it finished.
             let (_, end) = run.trace.pipeline_windows[pid];
@@ -135,7 +119,8 @@ pub fn query_progress_curve(run: &QueryRun, choose: impl Fn(usize) -> EstimatorK
         };
         let kind = choose(pid);
         let curve = obs.curve(kind);
-        let (start, end) = obs.window;
+        let (start, end) = obs.window();
+        let last = obs.serial(obs.len() - 1) as usize;
         // Before the window: 0; inside: the estimate; once the pipeline
         // has finished (snapshot time at or past the window end): pinned
         // to its full weight. The monitor observes pipeline completion
@@ -147,13 +132,13 @@ pub fn query_progress_curve(run: &QueryRun, choose: impl Fn(usize) -> EstimatorK
             if s.time < start {
                 continue;
             }
-            while ci + 1 < obs.obs.len() && obs.obs[ci + 1] <= j {
+            while ci + 1 < obs.len() && obs.serial(ci + 1) as usize <= j {
                 ci += 1;
             }
-            if s.time >= end || j > *obs.obs.last().unwrap() {
+            if s.time >= end || j > last {
                 acc[j] += weight;
             } else {
-                acc[j] += weight * curve[ci.min(curve.len() - 1)];
+                acc[j] += weight * curve[ci];
             }
         }
     }

@@ -1,19 +1,18 @@
-//! Incremental (online) sibling of
-//! [`PipelineObs`](crate::pipeline_obs::PipelineObs): estimator curves
-//! over a *live* observation stream.
+//! The curve engine: estimator curves over an observation stream, built
+//! one snapshot at a time.
 //!
 //! [`IncrementalObs`] ingests snapshots one at a time — never a completed
 //! trace — and maintains every estimator curve plus the refinement-bound
 //! aggregates in O(1) amortized per snapshot (each append costs O(plan),
-//! which is constant in trace length; the batch path recomputes O(n) work
-//! per estimator per observation). The committed curves are **bit
-//! identical** to the batch
-//! [`PipelineObs::curve`](crate::pipeline_obs::PipelineObs::curve) output
-//! for the same
-//! run: every aggregate is accumulated in exactly the same order, driver
-//! totals come from the same (online-knowable) sources, and the LUO speed
-//! window is located by a monotone pointer that provably reproduces the
-//! batch backward walk.
+//! which is constant in trace length). It is the only definition of the
+//! estimator curves: the live monitor feeds it from the engine's tap, and
+//! offline consumers (training labels, experiments, query curves) replay a
+//! finished run's trace through the same protocol with
+//! [`IncrementalObs::with_ctx`]. Training labels and served curves are
+//! therefore the same function of the same counters. The LUO speed window
+//! is located by a monotone pointer that provably reproduces the
+//! reference backward walk, which [`IncrementalObs::thin`] uses to
+//! rebuild the curve after thinning.
 //!
 //! # Streaming protocol
 //!
@@ -25,7 +24,7 @@
 //!   first tick are skipped; snapshots provably inside the window commit
 //!   immediately; snapshots past the last tick seen so far stay *pending*
 //!   until a later tick (or finalization) proves whether they fall inside
-//!   the final window — mirroring the batch
+//!   the final window — the
 //!   [`prosel_engine::trace::ObservationTrace::pipeline_observations`]
 //!   rule (all in-window snapshots plus the first one past the end).
 //! * [`IncrementalObs::thin`] when the engine thins its bounded snapshot
@@ -40,17 +39,14 @@
 //! build phase completes — strictly before the pipeline they drive takes
 //! its first observation.
 
-use crate::ctx::SnapshotCtx;
+use crate::ctx::{SnapshotCtx, TraceCtx};
 use crate::kinds::EstimatorKind;
-use crate::pipeline_obs::{
-    clamp01, driver_node_total, expected_output_bytes, luo_point, luo_window_start, pipeline_top,
-    ObsView,
-};
 use crate::refine::{alpha, clamp_estimate};
 use crate::soa::PipeCols;
 use prosel_engine::plan::{NodeId, OperatorKind, PhysicalPlan};
-use prosel_engine::trace::{Snapshot, SnapshotView};
+use prosel_engine::trace::{QueryRun, Snapshot, SnapshotView};
 use prosel_engine::Pipeline;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -127,7 +123,8 @@ pub struct IncrementalObs {
     window_start: f64,
     window_end: f64,
     state: Option<DriverState>,
-    /// Committed observations (aligned with the batch observation set).
+    /// Committed observations (the trace's observation set for this
+    /// pipeline).
     entries: Vec<ObsEntry>,
     times: Vec<f64>,
     alpha_curve: Vec<f64>,
@@ -204,18 +201,24 @@ impl IncrementalObs {
         &self.times
     }
 
+    /// Serial of committed observation `i`: the number the stream offered
+    /// it under — on a [`Self::with_ctx`] replay, its snapshot index in the
+    /// run's trace.
+    pub fn serial(&self, i: usize) -> u64 {
+        self.entries[i].serial
+    }
+
     /// Fraction of driver input consumed at each committed observation.
     pub fn driver_fraction(&self) -> &[f64] {
         &self.alpha_curve
     }
 
-    /// Total true GetNext calls of this pipeline's nodes — the batch
-    /// [`PipelineObs::total_getnext`](crate::pipeline_obs::PipelineObs::total_getnext)
-    /// quantity, recovered online: the last committed observation lies at
-    /// or past the pipeline's activity-window end, where the pipeline's
-    /// counters are frozen at their final values (the same argument that
-    /// makes the committed GetNextOracle curve exact). Summed in integer
-    /// precision, so it equals the batch Σ `final_k` bit for bit.
+    /// Total true GetNext calls of this pipeline's nodes, recovered from
+    /// the stream: the last committed observation lies at or past the
+    /// pipeline's activity-window end, where the pipeline's counters are
+    /// frozen at their final values (the same argument that makes the
+    /// committed GetNextOracle curve exact). Summed in integer precision,
+    /// so it equals the trace's Σ `final_k` bit for bit.
     ///
     /// # Panics
     /// Panics before [`Self::finalize`]: mid-run the totals are the
@@ -226,10 +229,8 @@ impl IncrementalObs {
     }
 
     /// True pipeline progress at each committed observation — the
-    /// elapsed-time fraction of the final activity window, exactly the
-    /// label the batch path reads from
-    /// `ObservationTrace::true_pipeline_progress` (same formula, same
-    /// clamping, hence bit-identical over the same run).
+    /// elapsed-time fraction of the final activity window, the same
+    /// formula and clamping as `ObservationTrace::true_pipeline_progress`.
     ///
     /// # Panics
     /// Panics before [`Self::finalize`]: truth needs the final window.
@@ -277,8 +278,8 @@ impl IncrementalObs {
             .filter(|d| !driver_set.contains(d))
             .map(|&d| (d, plan.node(d).est_rows.max(1.0)))
             .collect();
-        // Chained sums, exactly as the batch `driver_curve` computes them
-        // (f64 addition is order-sensitive; bit-identity requires it).
+        // Chained sums over drivers ++ extras, in that order (f64 addition
+        // is order-sensitive; the compiled columns replay this order).
         let chained =
             |extra: &[(NodeId, f64)]| -> f64 { drivers.iter().chain(extra).map(|&(_, d)| d).sum() };
         let total_dne = chained(&[]);
@@ -387,14 +388,11 @@ impl IncrementalObs {
         }
     }
 
-    /// The original per-node *scalar* walk (same loop structure and
-    /// accumulation order as [`PipelineObs::new`]): per-node plan access,
+    /// The original per-node *scalar* walk: per-node plan access,
     /// [`OperatorKind`] dispatch and driver-set membership tests. Kept as
     /// the reference implementation the compiled [`PipeCols`] path is
     /// pinned against (bit-identity property nets, and the scalar side of
     /// the `monitor_overhead` A/B group); not used on any hot path.
-    ///
-    /// [`PipelineObs::new`]: crate::pipeline_obs::PipelineObs::new
     fn entry_for_scalar(&self, serial: u64, snap: SnapshotView<'_>, ctx: &SnapshotCtx) -> ObsEntry {
         let plan = &self.plan;
         let state = self.state.as_ref().expect("drivers resolved");
@@ -460,8 +458,8 @@ impl IncrementalObs {
     /// observations committed by this call.
     ///
     /// Computes the per-snapshot refinement bounds itself. When several
-    /// pipelines of the same query consume the same snapshot, build one
-    /// [`SnapshotCtx`] and call [`Self::offer_shared`] instead, so the
+    /// pipelines of the same query consume the same snapshot, fill one
+    /// [`SnapshotCtx`] and call [`Self::offer_view`] instead, so the
     /// O(plan) bound pass runs once per snapshot rather than once per
     /// pipeline.
     pub fn offer(&mut self, serial: u64, snap: &Snapshot, window: (f64, f64)) -> usize {
@@ -474,23 +472,12 @@ impl IncrementalObs {
         self.offer_view(serial, snap.as_view(), window, &ctx)
     }
 
-    /// [`Self::offer`] with the refinement bounds precomputed once per
-    /// query per snapshot and shared across pipelines. Bit-identical to
-    /// the self-computing path ([`crate::refine::bounds`] is pure).
-    pub fn offer_shared(
-        &mut self,
-        serial: u64,
-        snap: &Snapshot,
-        window: (f64, f64),
-        ctx: &SnapshotCtx,
-    ) -> usize {
-        self.offer_view(serial, snap.as_view(), window, ctx)
-    }
-
-    /// [`Self::offer_shared`] over a borrowed [`SnapshotView`] — the
-    /// zero-copy path for consumers that reconstruct counter state from
-    /// delta events (the monitor shard's per-query scratch): no owned
-    /// [`Snapshot`] is ever materialized.
+    /// [`Self::offer`] over a borrowed [`SnapshotView`], with the
+    /// refinement bounds precomputed once per query per snapshot and
+    /// shared across pipelines (bit-identical to the self-computing path:
+    /// [`crate::refine::bounds`] is pure). Zero-copy for consumers that
+    /// reconstruct counter state from delta events (the monitor shard's
+    /// per-query scratch): no owned [`Snapshot`] is ever materialized.
     pub fn offer_view(
         &mut self,
         serial: u64,
@@ -501,7 +488,7 @@ impl IncrementalObs {
         self.offer_impl(serial, snap, window, ctx, false)
     }
 
-    /// [`Self::offer_shared`] computing the per-observation aggregates via
+    /// [`Self::offer_view`] computing the per-observation aggregates via
     /// the original scalar walk (`entry_for_scalar`) instead of
     /// the compiled struct-of-arrays columns. Identical protocol,
     /// bit-identical curves — this is the reference side of the
@@ -598,7 +585,7 @@ impl IncrementalObs {
     /// LUO estimate for the observation being committed (the last entry of
     /// `self.entries` at call time is its predecessor set; the entry itself
     /// is already pushed). Uses a monotone pointer for the speed window:
-    /// the batch backward walk selects the largest `j ≤ i-1` with
+    /// the reference backward walk selects the largest `j ≤ i-1` with
     /// `times[j] ≤ t - win`, and that threshold is non-decreasing in `i`
     /// (d(t - 0.1·(t-start))/dt = 0.9 > 0), so the pointer only ever moves
     /// forward — O(1) amortized instead of O(window) per observation.
@@ -625,7 +612,7 @@ impl IncrementalObs {
     }
 
     /// Recompute the LUO curve from scratch (after thinning changed the
-    /// committed index space) using the batch backward-walk algorithm.
+    /// committed index space) using the reference backward-walk algorithm.
     fn rebuild_luo(&mut self) {
         let state = match &self.state {
             Some(s) => s,
@@ -706,7 +693,7 @@ impl IncrementalObs {
 
     /// The query terminated: resolve the trailing pendings against the
     /// final activity window — everything inside commits, plus the first
-    /// observation past the end (the batch `pipeline_observations` rule) —
+    /// observation past the end (the trace's `pipeline_observations` rule) —
     /// and unlock the oracle curves.
     pub fn finalize(&mut self, final_window: (f64, f64)) {
         if self.finalized {
@@ -731,14 +718,16 @@ impl IncrementalObs {
     }
 
     /// The committed curve of one estimator. Online kinds are available at
-    /// any point; the two oracle models (which need post-hoc totals) only
-    /// after [`Self::finalize`].
+    /// any point and borrowed from the maintained curve (feature extraction
+    /// reads only a few marker points, so a copy would dominate its cost);
+    /// the two oracle models (which need post-hoc totals) are computed on
+    /// demand, and only after [`Self::finalize`].
     ///
     /// # Panics
     /// Panics when an oracle curve is requested before finalization.
-    pub fn curve(&self, kind: EstimatorKind) -> Vec<f64> {
+    pub fn curve(&self, kind: EstimatorKind) -> Cow<'_, [f64]> {
         if let Some(idx) = online_index(kind) {
-            return self.curves[idx].clone();
+            return Cow::Borrowed(&self.curves[idx]);
         }
         assert!(self.finalized, "{kind} needs post-hoc totals: only available after finalize()");
         match kind {
@@ -751,7 +740,7 @@ impl IncrementalObs {
             EstimatorKind::BytesOracle => {
                 let total = self.entries.last().map_or(0.0, |e| e.done_bytes);
                 if total <= 0.0 {
-                    return vec![1.0; self.len()];
+                    return Cow::Owned(vec![1.0; self.len()]);
                 }
                 self.entries.iter().map(|e| clamp01(e.done_bytes / total)).collect()
             }
@@ -765,80 +754,135 @@ impl IncrementalObs {
         online_index(kind).and_then(|idx| self.curves[idx].last().copied())
     }
 
-    /// Replay a completed run's trace through the incremental protocol
-    /// (serials without thinning — the trace is already thinned). Useful
-    /// for tests and for validating online/offline equivalence; `None`
-    /// when the pipeline produced no observations.
+    /// Replay pipeline `pid` of a completed run through the streaming
+    /// protocol (serials are trace indices, no thinning — the trace is
+    /// already thinned); `None` when the pipeline produced no observations.
+    /// This is how every offline curve is derived, so it is the same
+    /// computation the live monitor serves.
     ///
-    /// Replaying **several pipelines of the same run**? Build one
-    /// [`crate::ctx::TraceCtx`] and use [`Self::replay_shared`] so the
-    /// per-snapshot bound pass is not repeated per pipeline. (This
-    /// single-pipeline form computes bounds lazily, only for snapshots
-    /// inside the pipeline's window.)
-    pub fn replay(run: &prosel_engine::QueryRun, pid: usize) -> Option<IncrementalObs> {
-        Self::replay_inner(run, pid, None)
-    }
-
-    /// [`Self::replay`] with the per-snapshot refinement bounds shared
-    /// across pipelines of the run.
-    pub fn replay_shared(
-        run: &prosel_engine::QueryRun,
-        pid: usize,
-        ctx: &crate::ctx::TraceCtx,
-    ) -> Option<IncrementalObs> {
-        Self::replay_inner(run, pid, Some(ctx))
-    }
-
-    fn replay_inner(
-        run: &prosel_engine::QueryRun,
-        pid: usize,
-        ctx: Option<&crate::ctx::TraceCtx>,
-    ) -> Option<IncrementalObs> {
-        let mut inc = IncrementalObs::new(Arc::new(run.plan.clone()), &run.pipelines[pid]);
+    /// `ctx` is built once per run and shared by the replays of all its
+    /// pipelines: it holds the run's plan and every snapshot's refinement
+    /// bounds.
+    pub fn with_ctx(run: &QueryRun, pid: usize, ctx: &TraceCtx) -> Option<IncrementalObs> {
+        assert_eq!(
+            ctx.len(),
+            run.trace.snapshots.len(),
+            "TraceCtx built for a different trace ({} snapshots vs {})",
+            ctx.len(),
+            run.trace.snapshots.len()
+        );
+        let mut inc = IncrementalObs::new(Arc::clone(ctx.plan()), &run.pipelines[pid]);
         let (start, end) = run.trace.pipeline_windows[pid];
         for (j, snap) in run.trace.snapshots.iter().enumerate() {
             // The live window's `last` is the last tick at or before this
             // snapshot; any value in [that, snap.time] commits the same
             // observation set, so the conservative `min(end, time)` works.
             let window = (start, end.min(snap.time));
-            match ctx {
-                Some(ctx) => {
-                    inc.offer_shared(j as u64, snap, window, ctx.snapshot(j));
-                }
-                None => {
-                    inc.offer(j as u64, snap, window);
-                }
-            }
+            inc.offer_view(j as u64, snap.as_view(), window, ctx.snapshot(j));
         }
         inc.finalize((start, end));
-        if inc.is_empty() {
-            return None;
-        }
-        Some(inc)
+        (!inc.is_empty()).then_some(inc)
+    }
+
+    /// [`Self::with_ctx`] for a single pipeline. Replaying **several
+    /// pipelines of the same run**? Build one [`TraceCtx`] and call
+    /// [`Self::with_ctx`] for each, so the plan copy and the bound pass
+    /// are shared.
+    pub fn replay(run: &QueryRun, pid: usize) -> Option<IncrementalObs> {
+        Self::with_ctx(run, pid, &TraceCtx::new(run))
     }
 }
 
-impl ObsView for IncrementalObs {
-    fn obs_times(&self) -> &[f64] {
-        self.times()
+/// Known total input of driver node `id` (paper §3.4). Materialized
+/// inputs — sort / hash-aggregate outputs — use the size the blocking
+/// operator reported when its build phase completed (deliberately *not*
+/// `final_k[id]`: under early termination the emitted count is smaller
+/// and unknowable mid-query, while the materialized size is what a live
+/// engine exposes). Scans use their known base cardinality; seeks and
+/// everything else the optimizer estimate.
+fn driver_node_total(plan: &PhysicalPlan, id: NodeId, materialized: &[u64]) -> f64 {
+    match plan.node(id).op {
+        OperatorKind::Sort { .. } | OperatorKind::HashAggregate { .. } => materialized[id] as f64,
+        _ => plan.node(id).est_rows,
     }
+}
 
-    fn window_start(&self) -> f64 {
-        self.window_start
+/// Topmost node of a pipeline: the one whose parent is outside it (the
+/// pipeline's output).
+fn pipeline_top(plan: &PhysicalPlan, pipeline: &Pipeline) -> NodeId {
+    let parents = plan.parents();
+    let nodes = &pipeline.nodes;
+    nodes
+        .iter()
+        .copied()
+        .find(|&n| match parents[n] {
+            None => true,
+            Some(p) => !pipeline.contains(p),
+        })
+        .unwrap_or(nodes[nodes.len() - 1])
+}
+
+/// Expected total result-output bytes of the pipeline with output `top`.
+/// Only the plan root writes its results out (to the client / result
+/// spool); interior pipeline tops hand tuples to a consuming operator in
+/// memory, so their only writes are spills, which are observed rather
+/// than predicted.
+fn expected_output_bytes(plan: &PhysicalPlan, top: NodeId) -> f64 {
+    if top == plan.root {
+        plan.node(top).est_rows * plan.node(top).est_row_bytes
+    } else {
+        0.0
     }
+}
 
-    fn driver_fraction(&self) -> &[f64] {
-        &self.alpha_curve
+/// Start index of the LUO speed window for observation `i`: walk back
+/// from `i` while the previous observation is still inside `win`, then
+/// step one further (the reference algorithm). The thinning rebuild uses
+/// it directly; `IncrementalObs::luo_next` reproduces the same result with
+/// a monotone forward pointer (equivalence argued there).
+fn luo_window_start(times: &[f64], i: usize, t: f64, win: f64) -> usize {
+    let mut w = i;
+    while w > 0 && t - times[w - 1] < win {
+        w -= 1;
     }
+    w.saturating_sub(1)
+}
 
-    fn curve(&self, kind: EstimatorKind) -> std::borrow::Cow<'_, [f64]> {
-        match online_index(kind) {
-            // Maintained curves are served without copying — re-selection
-            // reads only a few marker points, so a clone per feature
-            // extraction would dominate its cost.
-            Some(idx) => std::borrow::Cow::Borrowed(&self.curves[idx]),
-            None => std::borrow::Cow::Owned(IncrementalObs::curve(self, kind)),
+/// One LUO estimate from the speed-window deltas, shared by the append
+/// path and the thinning rebuild. With no usable speed sample yet (`first`
+/// observation, or no time/bytes moved inside the window) it falls back to
+/// the byte fraction, or to `prev` when no bytes exist at all.
+fn luo_point(
+    first: bool,
+    elapsed: f64,
+    dt: f64,
+    db: f64,
+    done_bytes: f64,
+    remaining_bytes: f64,
+    prev: f64,
+) -> f64 {
+    let est = if first || dt <= 0.0 || db <= 0.0 {
+        let total = done_bytes + remaining_bytes;
+        if total > 0.0 {
+            done_bytes / total
+        } else {
+            prev
         }
+    } else {
+        let speed = db / dt;
+        let remaining_time = remaining_bytes / speed.max(1e-9);
+        elapsed / (elapsed + remaining_time)
+    };
+    clamp01(est)
+}
+
+/// Clamp to a probability, mapping non-finite values to 1.0 (complete).
+#[inline]
+fn clamp01(v: f64) -> f64 {
+    if v.is_finite() {
+        v.clamp(0.0, 1.0)
+    } else {
+        1.0
     }
 }
 
@@ -911,7 +955,7 @@ mod tests {
         // both it and the new snapshot commit.
         assert_eq!(obs.offer(2, &snap(40.0, 80, 40), (10.0, 40.0)), 2);
         assert_eq!(obs.len(), 3);
-        // Finalize: the first trailing pending commits (the batch
+        // Finalize: the first trailing pending commits (the trace's
         // one-past-end rule), later ones are dropped.
         obs.offer(3, &snap(45.0, 100, 50), (10.0, 41.0));
         obs.offer(4, &snap(50.0, 100, 50), (10.0, 41.0));

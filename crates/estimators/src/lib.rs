@@ -19,20 +19,23 @@
 //! * **GetNextOracle / BytesOracle** — the idealized models of Section 6.7
 //!   (true totals) used to validate the underlying progress models.
 //!
-//! [`pipeline_obs::PipelineObs`] renders any of these as a progress curve
-//! over a pipeline's observations; [`incremental::IncrementalObs`] builds
-//! the same curves *online*, one snapshot at a time, in O(1) amortized per
-//! snapshot; [`eval`] scores curves against true (time-fraction) progress.
+//! [`incremental::IncrementalObs`] is the one curve engine: it builds
+//! every estimator's progress curve one snapshot at a time, in O(1)
+//! amortized per snapshot. The live monitor feeds it from the engine's
+//! tap; offline consumers replay a finished run's trace through it
+//! ([`IncrementalObs::with_ctx`], also reachable under its offline name
+//! [`PipelineObs`]), so training labels and served curves are the same
+//! function of the same counters. [`eval`] scores curves against true
+//! (time-fraction) progress.
 //!
 //! The refinement-bound pass ([`refine::bounds`]) depends only on the plan
 //! and one snapshot's counters, so [`ctx::SnapshotCtx`] /
-//! [`ctx::TraceCtx`] precompute it **once per query per snapshot** and
-//! share it across every pipeline consumer — both paths accept the shared
-//! context ([`PipelineObs::with_ctx`],
-//! [`IncrementalObs::offer_shared`]) and produce bit-identical curves.
-
+//! [`ctx::TraceCtx`] compute it **once per query per snapshot** and share
+//! it across every pipeline of the query ([`IncrementalObs::offer_view`]
+//! live, [`IncrementalObs::with_ctx`] on replay).
+//!
 //! The per-snapshot hot paths — the bound pass and the per-pipeline
-//! aggregate walk — also exist in compiled struct-of-arrays form
+//! aggregate walk — run in compiled struct-of-arrays form
 //! ([`soa::BoundsKernel`] and the columns behind
 //! [`IncrementalObs::offer_view`]), bit-identical to the scalar
 //! references and allocation-free per snapshot; see [`soa`].
@@ -47,9 +50,9 @@ pub mod soa;
 
 pub use ctx::{SnapshotCtx, TraceCtx};
 pub use eval::{
-    evaluate_pipeline, evaluate_pipeline_shared, l1_error, l2_error, query_l1,
-    query_progress_curve, ratio_error, EstimatorError,
+    evaluate_pipeline_shared, l1_error, l2_error, query_l1, query_progress_curve, ratio_error,
+    EstimatorError,
 };
 pub use incremental::{IncrementalObs, ONLINE_KINDS};
 pub use kinds::EstimatorKind;
-pub use pipeline_obs::{ObsView, PipelineObs};
+pub use pipeline_obs::PipelineObs;

@@ -3,7 +3,7 @@
 //! which is why DNE almost never *significantly* outperforms in Table 8.
 
 use prosel_engine::{run_plan, Catalog, ExecConfig};
-use prosel_estimators::{EstimatorKind, PipelineObs, TraceCtx};
+use prosel_estimators::{EstimatorKind, IncrementalObs, TraceCtx};
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::PlanBuilder;
 
@@ -22,7 +22,7 @@ fn specialized_estimators_collapse_to_dne_without_their_operators() {
             run_plan(&catalog, &plan, &ExecConfig { seed: qi as u64, ..ExecConfig::default() });
         let ctx = TraceCtx::new(&run);
         for (pid, p) in run.pipelines.iter().enumerate() {
-            let Some(obs) = PipelineObs::with_ctx(&run, pid, &ctx) else { continue };
+            let Some(obs) = IncrementalObs::with_ctx(&run, pid, &ctx) else { continue };
             let dne = obs.curve(EstimatorKind::Dne);
             let batch = obs.curve(EstimatorKind::BatchDne);
             let seek = obs.curve(EstimatorKind::DneSeek);
@@ -59,7 +59,7 @@ fn estimators_at_completion_approach_one_for_driver_based_kinds() {
             run_plan(&catalog, &plan, &ExecConfig { seed: qi as u64, ..ExecConfig::default() });
         let ctx = TraceCtx::new(&run);
         for (pid, p) in run.pipelines.iter().enumerate() {
-            let Some(obs) = PipelineObs::with_ctx(&run, pid, &ctx) else { continue };
+            let Some(obs) = IncrementalObs::with_ctx(&run, pid, &ctx) else { continue };
             // Driver totals are exact for scans and materialized inputs;
             // when ALL drivers are of that kind, DNE must end at 1.0.
             let all_exact = p.driver_nodes.iter().all(|&d| {

@@ -30,11 +30,12 @@ use proptest::prelude::*;
 use prosel_datagen::schema::{ColumnMeta, ColumnRole, TableMeta};
 use prosel_datagen::{Column, Database, PhysicalDesign, Table, TuningLevel};
 use prosel_engine::plan::{CmpOp, OperatorKind, PhysicalPlan, PlanNode, Predicate};
-use prosel_engine::{run_plan, Catalog, ExecConfig};
+use prosel_engine::{run_plan, Catalog, ExecConfig, QueryRun};
 use prosel_estimators::refine::bounds;
-use prosel_estimators::{EstimatorKind, PipelineObs, SnapshotCtx, TraceCtx, ONLINE_KINDS};
+use prosel_estimators::{EstimatorKind, IncrementalObs, SnapshotCtx, TraceCtx, ONLINE_KINDS};
 use prosel_planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel_planner::PlanBuilder;
+use std::sync::Arc;
 
 /// Value of row `i` (0-based) in either synthetic table.
 fn v_of(i: usize) -> i64 {
@@ -78,6 +79,19 @@ struct SoundIds {
 
 /// A random member of the sound-bounds plan family: scan(a) under a
 /// filter chain, optionally hash-joined against scan(b) and/or sorted.
+/// Replay pipeline `pid` through the one-snapshot `offer` path, which
+/// computes the scalar bounds itself — the reference the replay over a
+/// shared, kernel-filled [`TraceCtx`] must match.
+fn replay_solo(run: &QueryRun, pid: usize) -> Option<IncrementalObs> {
+    let mut inc = IncrementalObs::new(Arc::new(run.plan.clone()), &run.pipelines[pid]);
+    let (start, end) = run.trace.pipeline_windows[pid];
+    for (j, snap) in run.trace.snapshots.iter().enumerate() {
+        inc.offer(j as u64, snap, (start, end.min(snap.time)));
+    }
+    inc.finalize((start, end));
+    (!inc.is_empty()).then_some(inc)
+}
+
 fn sound_plan(
     rows_a: usize,
     rows_b: usize,
@@ -280,8 +294,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Real execution of the same plan family: live snapshots keep the
-    /// weak invariants, and the shared-context batch path is bit-identical
-    /// to the self-computing one on every curve of every pipeline.
+    /// weak invariants, and a replay over the shared, kernel-filled
+    /// context is bit-identical to one that computes its scalar bounds
+    /// per snapshot, on every curve of every pipeline.
     #[test]
     fn shared_ctx_is_bit_identical_on_real_runs(
         rows_a in 200usize..700,
@@ -320,14 +335,14 @@ proptest! {
         kinds.push(EstimatorKind::GetNextOracle);
         kinds.push(EstimatorKind::BytesOracle);
         for pid in 0..run.pipelines.len() {
-            match (PipelineObs::new(&run, pid), PipelineObs::with_ctx(&run, pid, &ctx)) {
+            match (replay_solo(&run, pid), IncrementalObs::with_ctx(&run, pid, &ctx)) {
                 (None, None) => {}
                 (Some(solo), Some(shared)) => {
                     for &kind in &kinds {
                         let a = solo.curve(kind);
                         let b = shared.curve(kind);
                         prop_assert_eq!(a.len(), b.len());
-                        for (x, y) in a.iter().zip(&b) {
+                        for (x, y) in a.iter().zip(b.iter()) {
                             prop_assert!(
                                 x.to_bits() == y.to_bits(),
                                 "{} differs between solo and shared ctx on p{}",

@@ -62,7 +62,7 @@ fn soa_and_scalar_paths_are_bit_identical_on_real_workloads() {
                 for k in all_kinds() {
                     let (a, b) = (soa.curve(k), scalar.curve(k));
                     assert_eq!(a.len(), b.len(), "{k} curve length, pid {pid}");
-                    for (j, (x, y)) in a.iter().zip(&b).enumerate() {
+                    for (j, (x, y)) in a.iter().zip(b.iter()).enumerate() {
                         assert_eq!(
                             x.to_bits(),
                             y.to_bits(),

@@ -3,9 +3,9 @@
 //! The claim under test: `IncrementalObs::append` (and the full
 //! `ProgressMonitor::ingest` path around it) costs O(1) amortized per
 //! snapshot — the time to ingest N snapshots grows linearly in N, i.e.
-//! the *per-element* cost stays flat as the trace gets longer. The batch
-//! path, by contrast, recomputes every curve from scratch, so polling it
-//! per tick would be quadratic. Each group below is parameterized by the
+//! the *per-element* cost stays flat as the trace gets longer. Recomputing
+//! every curve from scratch instead would make polling per tick
+//! quadratic. Each group below is parameterized by the
 //! trace length with element throughput reported, so a flat per-element
 //! time across the sizes is the pass criterion.
 

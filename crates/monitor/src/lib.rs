@@ -17,9 +17,10 @@
 //!   [`prosel_engine::trace::TraceEvent`]s one at a time, and serves
 //!   per-query / per-pipeline progress on demand in O(1);
 //! * per pipeline it maintains a
-//!   [`prosel_estimators::incremental::IncrementalObs`], whose committed
-//!   curves are bit-identical to the batch
-//!   [`prosel_estimators::PipelineObs`] over the same run — and the
+//!   [`prosel_estimators::incremental::IncrementalObs`], the same curve
+//!   engine that offline training labels replay a finished run through
+//!   ([`prosel_estimators::IncrementalObs::with_ctx`]), so served and
+//!   offline curves are bit-identical — and the
 //!   refinement-bound pass is computed **once per query per snapshot**
 //!   ([`prosel_estimators::SnapshotCtx`]) and shared across pipelines;
 //! * with a trained selector attached, the choice made from static
@@ -35,10 +36,11 @@
 //!   scheduled tasks on a small work-stealing worker pool ([`runtime`];
 //!   sized and pinned via [`RuntimeConfig`]). Ingest routes each event to
 //!   the shard owning `query % n_shards` and drains in batches; every
-//!   read API (`query_progress`, `remaining_time`, `status`, `stats`, …)
-//!   is a **wait-free** load from a seqlocked per-query snapshot the
-//!   owning shard publishes after each event — reads never enqueue behind
-//!   ingest, so read tail latency is flat under saturated ingest. Its
+//!   per-query read (`query_progress`, `remaining_time`, `status`, …)
+//!   read-locks the shard's slot registry, clones the query's slot `Arc`
+//!   and runs one seqlock pass over the snapshot the owning shard
+//!   publishes after each event — reads never enqueue behind ingest, so
+//!   read tail latency is flat under saturated ingest. Its
 //!   [`MonitorService::tap`] routes each engine event to exactly one
 //!   shard (no broadcast).
 //!

@@ -5,9 +5,11 @@
 //! through that thread's FIFO channel. This module replaces the thread-per-
 //! shard model with cooperative scheduling: each shard is a *task* (an index
 //! `0..n_tasks`), and a fixed pool of workers runs whichever tasks have work.
-//! Reads never come anywhere near this runtime — they are wait-free loads
-//! from published snapshots — so the pool only ever executes the ingest
-//! drain.
+//! Reads never come anywhere near this runtime, so the pool only ever
+//! executes the ingest drain. A read is not wait-free, though: it
+//! read-locks the owning shard's slot registry, clones the query's slot
+//! `Arc` and runs a seqlock pass over the published snapshot (see
+//! [`crate::service`]).
 //!
 //! Design notes:
 //!

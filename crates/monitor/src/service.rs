@@ -1,5 +1,5 @@
 //! The sharded monitor service: N shards as cooperative tasks on a
-//! work-stealing runtime, with a wait-free read path.
+//! work-stealing runtime, with a read path that never queues behind ingest.
 //!
 //! [`MonitorService`] scales the [`ProgressMonitor`] core past one ingest
 //! thread. Each shard owns the queries with `query % n_shards == shard`:
@@ -13,9 +13,12 @@
 //! republishes the affected query's snapshot after every event.
 //!
 //! **Reads never touch the ingest path.** `query_progress`,
-//! `remaining_time`, `progress_at_deadline`, `status`, `stats` and friends
-//! are wait-free loads from seqlocked snapshot cells — no channel send, no
-//! queueing behind events, no lock shared with ingest. Under a saturated
+//! `remaining_time`, `progress_at_deadline`, `status` and friends read
+//! seqlocked snapshot cells — no channel send, no queueing behind events,
+//! no lock shared with ingest. They are not wait-free: each read
+//! read-locks the shard's slot registry (written only at register,
+//! unregister and drop), clones the slot's `Arc` and runs a seqlock pass
+//! that retries if a publish raced it. Under a saturated
 //! tap the read tail stays flat (the `monitor_scale` bench pins this as
 //! `read_p99_under_saturated_ingest`). Writes (registration, unregister,
 //! selector swaps) lock the owning shard's core directly; registration

@@ -9,11 +9,12 @@
 //! execution) → [`ProgressMonitor::ingest`] for every
 //! [`TraceEvent`] → progress served on demand → the `Finished` event pins
 //! the query to exactly 1.0 and finalizes every pipeline's observation
-//! state (unlocking oracle curves and exact batch equivalence).
+//! state (unlocking oracle curves and exact equivalence with a replay of
+//! the finished trace).
 //!
 //! Per snapshot, the refinement-bound pass is computed **once per query**
 //! as a [`SnapshotCtx`] and shared across all of the query's pipelines
-//! ([`IncrementalObs::offer_shared`]) — O(plan) per snapshot instead of
+//! ([`IncrementalObs::offer_view`]) — O(plan) per snapshot instead of
 //! O(pipelines × plan).
 
 use crate::eta::{Eta, SpeedTracker, StaleEta};
@@ -849,19 +850,24 @@ impl ProgressMonitor {
             return;
         };
         self.counters.events_ingested.inc();
+        let width = qs.plan.len();
         if qs.finished
             || seq != qs.serial_next
-            || snapshot.k.len() != qs.plan.len()
+            || snapshot.k.len() != width
+            || snapshot.bytes_read.len() != width
+            || snapshot.bytes_written.len() != width
+            || snapshot.materialized.len() != width
             || windows.len() != qs.pipes.len()
         {
             // `finished` first: a snapshot after termination means a new
             // stream is reusing this query id against finalized state (a
             // seq-0 stream would otherwise pass the header check when the
             // finished run emitted no snapshots, and panic the pipes).
-            // The stream was joined mid-way, events were lost, or the
-            // engine is executing a different plan under this query id:
-            // state can no longer be trusted, so refuse to serve
-            // corrupted estimates rather than panic or misalign.
+            // The stream was joined mid-way, events were lost, the engine
+            // is executing a different plan under this query id, or a
+            // counter vector is mis-sized (the pipes index every vector by
+            // plan node): state can no longer be trusted, so refuse to
+            // serve corrupted estimates rather than panic or misalign.
             self.drop_query_state(query);
             return;
         }

@@ -9,7 +9,7 @@
 //! ```
 
 use prosel::engine::{run_plan, Catalog, ExecConfig};
-use prosel::estimators::{l1_error, EstimatorKind, PipelineObs, TraceCtx};
+use prosel::estimators::{l1_error, EstimatorKind, IncrementalObs, TraceCtx};
 use prosel::planner::workload::{materialize, WorkloadKind, WorkloadSpec};
 use prosel::planner::PlanBuilder;
 
@@ -37,7 +37,7 @@ fn main() {
     // One refinement-bound pass per snapshot, shared by every pipeline.
     let ctx = TraceCtx::new(&run);
     for pid in 0..run.pipelines.len() {
-        let Some(obs) = PipelineObs::with_ctx(&run, pid, &ctx) else { continue };
+        let Some(obs) = IncrementalObs::with_ctx(&run, pid, &ctx) else { continue };
         if obs.len() < 5 {
             continue;
         }

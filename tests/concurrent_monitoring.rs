@@ -10,7 +10,7 @@ use prosel::engine::{
     run_concurrent, run_concurrent_tapped, Catalog, ConcurrentConfig, ExecConfig, ManualClock,
     QueryRun, TraceEvent,
 };
-use prosel::estimators::{EstimatorKind, PipelineObs};
+use prosel::estimators::{EstimatorKind, IncrementalObs};
 use prosel::mart::BoostParams;
 use prosel::monitor::{MonitorBuilder, MonitorConfig, SwitchEvent};
 use prosel::planner::workload::{materialize, WorkloadKind, WorkloadSpec};
@@ -38,9 +38,9 @@ fn concurrent_traces_feed_the_full_stack() {
             // Estimator curves stay probabilities on concurrent traces.
             let ctx = prosel::estimators::TraceCtx::new(run);
             for pid in 0..run.pipelines.len() {
-                if let Some(obs) = PipelineObs::with_ctx(run, pid, &ctx) {
+                if let Some(obs) = IncrementalObs::with_ctx(run, pid, &ctx) {
                     for kind in EstimatorKind::CANDIDATES {
-                        for v in obs.curve(kind) {
+                        for &v in obs.curve(kind).iter() {
                             assert!((0.0..=1.0).contains(&v), "{kind}: {v}");
                         }
                     }

@@ -1,8 +1,8 @@
 //! The harvest contract: records mined **online** from a tapped run (the
 //! monitor's `Finished` hook) must be byte-identical — features and
-//! labels, across every estimator kind — to what the batch
-//! `pipeline_runs` extraction computes from the completed trace of the
-//! same execution.
+//! labels, across every estimator kind — to what the offline
+//! `pipeline_runs` extraction computes by replaying the completed trace of
+//! the same execution.
 
 use prosel::core::pipeline_runs::{records_from_run, PipelineRecord};
 use prosel::engine::{

@@ -1,16 +1,19 @@
 //! Online monitoring integration: live traces through the monitor must
-//! reproduce the post-hoc estimator stack exactly, and the served
-//! progress must respect the monitor invariants.
+//! reproduce the offline curves (a replay of the finished trace) exactly,
+//! the replay must reproduce digests recorded from the retired batch
+//! curve computation, and the served progress must respect the monitor
+//! invariants.
 
 use prosel::core::pipeline_runs::{collect_from_workload, CollectConfig};
 use prosel::core::selection::{EstimatorSelector, SelectorConfig};
+use prosel::core::textio::fnv64;
 use prosel::core::training::TrainingSet;
 use prosel::engine::{
     run_concurrent_tapped, run_plan, run_plan_tapped, Catalog, ConcurrentConfig, ExecConfig,
     QueryRun, TraceEvent,
 };
 use prosel::estimators::kinds::EstimatorKind;
-use prosel::estimators::{IncrementalObs, PipelineObs, TraceCtx, ONLINE_KINDS};
+use prosel::estimators::{IncrementalObs, TraceCtx, ONLINE_KINDS};
 use prosel::mart::BoostParams;
 use prosel::monitor::{MonitorBuilder, MonitorConfig, ProgressMonitor};
 use prosel::planner::workload::{materialize, WorkloadKind, WorkloadSpec};
@@ -24,13 +27,14 @@ fn all_kinds() -> Vec<EstimatorKind> {
     kinds
 }
 
-/// Assert that the monitor's incremental observation state reproduces the
-/// batch `PipelineObs` curves bit for bit on every pipeline of `run`.
+/// Assert that the monitor's live observation state reproduces the
+/// offline curves — a replay of the finished trace — bit for bit on every
+/// pipeline of `run`.
 fn assert_equivalent(monitor: &ProgressMonitor, query: usize, run: &QueryRun, label: &str) {
     let ctx = TraceCtx::new(run);
     for pid in 0..run.pipelines.len() {
         let inc = monitor.observation(query, pid).expect("registered pipeline");
-        match PipelineObs::with_ctx(run, pid, &ctx) {
+        match IncrementalObs::with_ctx(run, pid, &ctx) {
             None => assert!(
                 inc.is_empty(),
                 "{label}: pipeline {pid} unobserved post-hoc but online has {} obs",
@@ -39,10 +43,14 @@ fn assert_equivalent(monitor: &ProgressMonitor, query: usize, run: &QueryRun, la
             Some(batch) => {
                 assert_eq!(
                     inc.times(),
-                    &batch.times[..],
+                    batch.times(),
                     "{label}: observation set mismatch on pipeline {pid}"
                 );
-                assert_eq!(inc.window(), batch.window, "{label}: window mismatch, pipeline {pid}");
+                assert_eq!(
+                    inc.window(),
+                    batch.window(),
+                    "{label}: window mismatch, pipeline {pid}"
+                );
                 for kind in all_kinds() {
                     let online = inc.curve(kind);
                     let offline = batch.curve(kind);
@@ -51,11 +59,11 @@ fn assert_equivalent(monitor: &ProgressMonitor, query: usize, run: &QueryRun, la
                         offline.len(),
                         "{label}: {kind} curve length mismatch on pipeline {pid}"
                     );
-                    for (j, (a, b)) in online.iter().zip(&offline).enumerate() {
+                    for (j, (a, b)) in online.iter().zip(offline.iter()).enumerate() {
                         assert!(
                             a.to_bits() == b.to_bits(),
                             "{label}: {kind} differs at pipeline {pid} obs {j}: \
-                             online {a:?} vs batch {b:?}"
+                             online {a:?} vs replay {b:?}"
                         );
                     }
                 }
@@ -212,40 +220,100 @@ fn selector_driven_monitor_end_to_end() {
     }
 }
 
+/// fnv64 digests of the batch curve computation that preceded the single
+/// curve engine, recorded from it on the workloads below before it was
+/// deleted: first the observation sets (pipeline id, count, times and
+/// activity window), then one digest per estimator kind in [`all_kinds`]
+/// order over every observed pipeline's curve bit patterns.
+const BATCH_DIGESTS: [(WorkloadKind, u64, u64, [u64; 11]); 2] = [
+    (
+        WorkloadKind::TpchLike,
+        5,
+        0x69553dc795bd1662,
+        [
+            0x71c4631c5a5e2abb, // DNE
+            0xfb80d1f71c376fcc, // TGN
+            0x8fa75291c73f5094, // LUO
+            0x6151717cd29f0ae2, // PMAX
+            0x54c4d8f9c1c054de, // SAFE
+            0x71c4631c5a5e2abb, // BATCHDNE (no batch sorts: equals DNE)
+            0x52fa553654542676, // DNESEEK
+            0x604afbfeb07827fd, // TGNINT
+            0x6ab7f363ff08a978, // TGNRAW
+            0x4ef3b0c66ad901b0, // GetNextModel
+            0x47164ad8c7eb83c7, // BytesModel
+        ],
+    ),
+    (
+        WorkloadKind::TpcdsLike,
+        6,
+        0xf301c97a3cbcf678,
+        [
+            0x4a8f155697ae1c8e, // DNE
+            0x7548737a95599a9f, // TGN
+            0xfc6a32fc1617ce81, // LUO
+            0x255f88084f8c3def, // PMAX
+            0x8f206c044d7d6c98, // SAFE
+            0x0a7ea1629aa02685, // BATCHDNE
+            0xeac987d21d192770, // DNESEEK
+            0xe3c9a596d90d1f6f, // TGNINT
+            0x671b0f06e0b6c1d9, // TGNRAW
+            0xff71dbf0d4e7b5df, // GetNextModel
+            0x66b20e61f5038585, // BytesModel
+        ],
+    ),
+];
+
 #[test]
 fn replay_equivalence_all_workload_kinds() {
-    // The pure-estimators replay path (no live tap) must agree with batch
-    // too — it is the reference implementation of the streaming protocol.
-    for (kind, seed) in [(WorkloadKind::TpchLike, 5u64), (WorkloadKind::TpcdsLike, 6u64)] {
+    // The replay path is what every offline curve is: it must reproduce,
+    // bit for bit, what the batch computation it replaced produced.
+    let kinds = all_kinds();
+    for (kind, seed, obs_digest, curve_digests) in BATCH_DIGESTS {
         let spec = WorkloadSpec::new(kind, seed).with_queries(6).with_scale(0.5);
         let w = materialize(&spec);
         let catalog = Catalog::new(&w.db, &w.design);
         let builder = PlanBuilder::new(&w.db, &w.stats, &w.design);
+        let mut obs_bytes: Vec<u8> = Vec::new();
+        let mut curve_bytes: Vec<Vec<u8>> = vec![Vec::new(); kinds.len()];
         for (qi, q) in w.queries.iter().enumerate() {
             let plan = builder.build(q).expect("plan");
             let run = run_plan(&catalog, &plan, &ExecConfig::default());
             let ctx = TraceCtx::new(&run);
             for pid in 0..run.pipelines.len() {
-                let batch = PipelineObs::with_ctx(&run, pid, &ctx);
-                let inc = IncrementalObs::replay_shared(&run, pid, &ctx);
-                match (batch, inc) {
-                    (None, None) => {}
-                    (Some(batch), Some(inc)) => {
-                        for k in all_kinds() {
-                            assert_eq!(
-                                inc.curve(k),
-                                batch.curve(k),
-                                "{kind:?} q{qi} p{pid}: {k} replay mismatch"
-                            );
-                        }
+                let observed = run.trace.pipeline_observations(pid);
+                let Some(inc) = IncrementalObs::with_ctx(&run, pid, &ctx) else {
+                    assert!(observed.is_empty(), "{kind:?} q{qi} p{pid}: replay lost observations");
+                    continue;
+                };
+                // The trace's own observation-set and truth rules are an
+                // independent oracle for the replay's.
+                let serials: Vec<usize> = (0..inc.len()).map(|i| inc.serial(i) as usize).collect();
+                assert_eq!(serials, observed, "{kind:?} q{qi} p{pid}: observation set");
+                let truth: Vec<f64> =
+                    observed.iter().map(|&j| run.trace.true_pipeline_progress(pid, j)).collect();
+                assert_eq!(inc.truth(), truth, "{kind:?} q{qi} p{pid}: truth");
+                let head = [qi as u64, pid as u64, inc.len() as u64];
+                let (start, end) = inc.window();
+                for v in head {
+                    obs_bytes.extend(v.to_le_bytes());
+                }
+                for t in inc.times().iter().chain([&start, &end]) {
+                    obs_bytes.extend(t.to_bits().to_le_bytes());
+                }
+                for (buf, &k) in curve_bytes.iter_mut().zip(&kinds) {
+                    for v in head {
+                        buf.extend(v.to_le_bytes());
                     }
-                    (b, i) => panic!(
-                        "{kind:?} q{qi} p{pid}: batch {:?} vs replay {:?} observation presence",
-                        b.map(|o| o.len()),
-                        i.map(|o| o.len())
-                    ),
+                    for x in inc.curve(k).iter() {
+                        buf.extend(x.to_bits().to_le_bytes());
+                    }
                 }
             }
+        }
+        assert_eq!(fnv64(&obs_bytes), obs_digest, "{kind:?}: observation sets differ");
+        for ((k, buf), want) in kinds.iter().zip(&curve_bytes).zip(curve_digests) {
+            assert_eq!(fnv64(buf), want, "{kind:?}: {k} curves differ from the recorded digest");
         }
     }
 }

@@ -5,7 +5,7 @@ use prosel::datagen::Zipf;
 use prosel::engine::plan::{CmpOp, OperatorKind, PhysicalPlan, PlanNode, Predicate};
 use prosel::engine::{run_plan, run_plan_tapped, Catalog, ExecConfig, SortedIndex, Tuple};
 use prosel::estimators::refine::{bounds, clamp_estimate, interpolated_estimate};
-use prosel::estimators::{l1_error, l2_error, EstimatorKind, IncrementalObs, PipelineObs};
+use prosel::estimators::{l1_error, l2_error, EstimatorKind, IncrementalObs};
 use prosel::mart::{BoostParams, Dataset, Mart};
 use prosel::monitor::MonitorBuilder;
 use prosel::planner::stats::ColumnStats;
@@ -243,8 +243,8 @@ proptest! {
     ) {
         // Online/offline equivalence over random workload specs and
         // snapshot budgets (small budgets force thinning): the
-        // append-built curves must equal the batch `PipelineObs` curves
-        // exactly — bit for bit — for every estimator kind.
+        // live-built curves must equal the offline curves (a replay of the
+        // finished trace) exactly — bit for bit — for every estimator kind.
         let kind = if tpcds { WorkloadKind::TpcdsLike } else { WorkloadKind::TpchLike };
         let spec = WorkloadSpec::new(kind, workload_seed).with_queries(2).with_scale(0.3);
         let w = materialize(&spec);
@@ -268,25 +268,22 @@ proptest! {
             let ctx = prosel::estimators::TraceCtx::new(&run);
             for pid in 0..run.pipelines.len() {
                 let inc = monitor.observation(qi, pid).expect("pipeline");
-                match PipelineObs::with_ctx(&run, pid, &ctx) {
+                match IncrementalObs::with_ctx(&run, pid, &ctx) {
                     None => prop_assert!(inc.is_empty(), "online-only observations on p{pid}"),
-                    Some(batch) => {
-                        prop_assert_eq!(inc.times(), &batch.times[..], "obs set p{}", pid);
+                    Some(rep) => {
+                        prop_assert_eq!(inc.times(), rep.times(), "obs set p{}", pid);
+                        prop_assert_eq!(inc.window(), rep.window(), "window p{}", pid);
                         for k in kinds.iter().copied() {
                             let online = inc.curve(k);
-                            let offline = batch.curve(k);
+                            let offline = rep.curve(k);
                             prop_assert_eq!(online.len(), offline.len());
-                            for (a, b) in online.iter().zip(&offline) {
+                            for (a, b) in online.iter().zip(offline.iter()) {
                                 prop_assert!(
                                     a.to_bits() == b.to_bits(),
                                     "{} differs on p{}: {:?} vs {:?}", k, pid, a, b
                                 );
                             }
                         }
-                        // And the replay path agrees with the live path.
-                        let rep = IncrementalObs::replay_shared(&run, pid, &ctx).expect("replay");
-                        prop_assert_eq!(rep.times(), inc.times());
-                        prop_assert_eq!(rep.curve(EstimatorKind::Luo), inc.curve(EstimatorKind::Luo));
                     }
                 }
             }

@@ -246,3 +246,53 @@ fn accepted_events_are_all_ingested_when_shutdown_races_ingest() {
     assert_eq!(stats.events_rejected, 0, "no shard died in this run");
     within(10, || service.shutdown());
 }
+
+/// The three full-snapshot counter vectors the shard must check against
+/// the plan's arity, each cut short in its own malformed event.
+fn short_vector_events(query: usize) -> Vec<(&'static str, TraceEvent)> {
+    ["bytes_read", "bytes_written", "materialized"]
+        .into_iter()
+        .map(|field| {
+            let mut ev = snapshot_event(query, 0, 1.0, 10);
+            if let TraceEvent::Snapshot { snapshot, .. } = &mut ev {
+                let cut = match field {
+                    "bytes_read" => &mut snapshot.bytes_read,
+                    "bytes_written" => &mut snapshot.bytes_written,
+                    _ => &mut snapshot.materialized,
+                };
+                *cut = Box::default();
+            }
+            (field, ev)
+        })
+        .collect()
+}
+
+#[test]
+fn short_counter_vectors_drop_the_query_not_the_shard() {
+    for (field, bad) in short_vector_events(7) {
+        // Single-threaded monitor: no panic; the query is dropped and
+        // counted, and its neighbour keeps ingesting.
+        let mut monitor = MonitorBuilder::fixed(EstimatorKind::Dne).build_monitor().expect("build");
+        monitor.register(7, scan_plan());
+        monitor.register(8, scan_plan());
+        monitor.ingest(bad.clone());
+        assert_eq!(monitor.query_progress(7), None, "{field}: malformed query must be dropped");
+        assert_eq!(monitor.shard_stats().queries_dropped, 1, "{field}: drop is counted");
+        monitor.ingest(snapshot_event(8, 0, 1.0, 10));
+        assert!(monitor.query_progress(8).is_some(), "{field}: neighbour must keep serving");
+
+        // Service: both queries share the one shard, which must survive.
+        let service =
+            MonitorBuilder::fixed(EstimatorKind::Dne).shards(1).build_service().expect("build");
+        service.register(7, scan_plan());
+        service.register(8, scan_plan());
+        service.ingest(bad);
+        service.ingest(snapshot_event(8, 0, 1.0, 10));
+        within(10, || {
+            assert_eq!(service.query_progress(7), Err(QueryError::QueryUnknown(7)), "{field}");
+            assert!(service.query_progress(8).is_ok(), "{field}: neighbour must keep serving");
+            assert_eq!(service.stats().expect("stats").queries_dropped, 1, "{field}");
+        });
+        within(10, || service.shutdown());
+    }
+}
