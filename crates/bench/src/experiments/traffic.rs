@@ -131,10 +131,6 @@ pub fn run(_suite: &mut Suite, scale: ExpScale) -> String {
         let c = |name: &str| snap.counter(name).unwrap_or(0) as f64;
         append_metric_sample(&format!("obs/{prefix}tap_events_total"), c("tap_events_total"));
         append_metric_sample(&format!("obs/{prefix}tap_bytes_total"), c("tap_bytes_total"));
-        append_metric_sample(
-            &format!("obs/{prefix}runtime_steals_total"),
-            c("runtime_steals_total"),
-        );
         append_metric_sample(&format!("obs/{prefix}scrapes"), run.obs_scrapes.len() as f64);
     };
     emit_obs("", &serve);

@@ -1,14 +1,9 @@
 //! One construction surface for both monitor shapes.
 //!
-//! The crate grew a constructor zoo — `fixed` / `try_fixed` /
-//! `with_selector` / `from_prototype` on [`MonitorService`], the same
-//! again plus config and harvester setters on [`ProgressMonitor`] — and
-//! every new capability (checkpoint restore, per-knob config) threatened
-//! to double it. [`MonitorBuilder`] consolidates all of it: pick a
-//! policy, chain the knobs you care about, and build either shape. The
-//! legacy constructors remain as thin delegates for existing embeds, but
-//! new code (and every example and test in this workspace) goes through
-//! the builder:
+//! [`MonitorBuilder`] is the only way to construct a [`ProgressMonitor`]
+//! or a [`MonitorService`]: pick a policy, chain the knobs you care
+//! about (config, shard count, harvest sink, checkpoint restore), and
+//! build either shape:
 //!
 //! ```
 //! use prosel_estimators::EstimatorKind;
@@ -29,7 +24,7 @@
 
 use crate::error::MonitorError;
 use crate::service::MonitorService;
-use crate::shard::{HarvestConfig, HarvestSink, MonitorConfig, ProgressMonitor};
+use crate::shard::{HarvestConfig, HarvestSink, MonitorConfig, Policy, ProgressMonitor};
 use crate::state::HarvestState;
 use crate::RuntimeConfig;
 use prosel_core::selection::EstimatorSelector;
@@ -37,17 +32,11 @@ use prosel_engine::clock::Clock;
 use prosel_estimators::EstimatorKind;
 use std::sync::Arc;
 
-/// Which selection policy the built monitor serves.
-enum BuilderPolicy {
-    Fixed(EstimatorKind),
-    Selector(Arc<EstimatorSelector>),
-}
-
 /// Builder over every construction concern of [`ProgressMonitor`] and
 /// [`MonitorService`]: policy, config knobs, shard count, harvest sink,
 /// and checkpoint restore. See the module docs for the one-glance form.
 pub struct MonitorBuilder {
-    policy: BuilderPolicy,
+    policy: Policy,
     config: MonitorConfig,
     shards: usize,
     harvester: Option<(Arc<dyn HarvestSink>, HarvestConfig)>,
@@ -59,17 +48,17 @@ impl MonitorBuilder {
     /// Oracle kinds are rejected at build time with
     /// [`MonitorError::Register`].
     pub fn fixed(kind: EstimatorKind) -> MonitorBuilder {
-        MonitorBuilder::with_policy(BuilderPolicy::Fixed(kind))
+        MonitorBuilder::with_policy(Policy::Fixed(kind))
     }
 
     /// Monitor with a trained selector: static selection at registration,
     /// dynamic re-selection at the configured cadence. Accepts an owned
     /// [`EstimatorSelector`] or an `Arc` shared with a learning loop.
     pub fn with_selector(selector: impl Into<Arc<EstimatorSelector>>) -> MonitorBuilder {
-        MonitorBuilder::with_policy(BuilderPolicy::Selector(selector.into()))
+        MonitorBuilder::with_policy(Policy::Selector(selector.into()))
     }
 
-    fn with_policy(policy: BuilderPolicy) -> MonitorBuilder {
+    fn with_policy(policy: Policy) -> MonitorBuilder {
         MonitorBuilder {
             policy,
             config: MonitorConfig::default(),
@@ -112,7 +101,7 @@ impl MonitorBuilder {
         self
     }
 
-    /// Worker-pool shape for the service form (ignored by
+    /// Worker count and core pinning for the service form (ignored by
     /// [`Self::build_monitor`]).
     pub fn runtime(mut self, runtime: RuntimeConfig) -> MonitorBuilder {
         self.config.runtime = runtime;
@@ -137,7 +126,7 @@ impl MonitorBuilder {
         self
     }
 
-    /// Shard-task count for the service form, clamped to ≥ 1 (ignored by
+    /// Shard count for the service form, clamped to ≥ 1 (ignored by
     /// [`Self::build_monitor`]).
     pub fn shards(mut self, n: usize) -> MonitorBuilder {
         self.shards = n.max(1);
@@ -166,25 +155,9 @@ impl MonitorBuilder {
         self
     }
 
-    /// Build the prototype monitor both build paths share.
-    fn prototype(&self) -> Result<ProgressMonitor, MonitorError> {
-        let mut monitor = match &self.policy {
-            BuilderPolicy::Fixed(kind) => {
-                ProgressMonitor::try_fixed(*kind)?.with_config(self.config.clone())
-            }
-            BuilderPolicy::Selector(sel) => {
-                ProgressMonitor::with_selector(Arc::clone(sel), self.config.clone())
-            }
-        };
-        if let Some((sink, config)) = &self.harvester {
-            monitor.set_harvester(Arc::clone(sink), config.clone());
-        }
-        Ok(monitor)
-    }
-
     /// Build the single-threaded, deterministic [`ProgressMonitor`] form.
     pub fn build_monitor(self) -> Result<ProgressMonitor, MonitorError> {
-        let mut monitor = self.prototype()?;
+        let mut monitor = ProgressMonitor::new(self.policy, self.config, self.harvester)?;
         match self.restore.len() {
             0 => {}
             1 => monitor.restore_harvest_state(&self.restore[0]),
@@ -201,14 +174,13 @@ impl MonitorBuilder {
     pub fn build_service(mut self) -> Result<MonitorService, MonitorError> {
         // The prototype never serves traffic in a service, so construct
         // it without the registry (its counters stay detached — no dead
-        // all-zero `monitor_*` series in scrapes) and re-attach for the
-        // shard forks, which register under `monitor_shard<i>_*`.
-        let metrics = self.config.metrics.take();
-        let mut prototype = self.prototype()?;
-        if let Some(registry) = metrics {
-            prototype.attach_metrics(registry);
-        }
-        let service = MonitorService::spawn(prototype, self.shards);
+        // all-zero `monitor_*` series in scrapes); the service hands the
+        // registry to the shard forks, which register under
+        // `monitor_shard<i>_*`. Without a configured registry the service
+        // gets a private one: every service is scrapeable.
+        let metrics = self.config.metrics.take().unwrap_or_default();
+        let prototype = ProgressMonitor::new(self.policy, self.config, self.harvester)?;
+        let service = MonitorService::spawn(prototype, self.shards, metrics);
         if !self.restore.is_empty() {
             if let Err(e) = service.restore_harvest_states(&self.restore) {
                 service.shutdown();

@@ -32,10 +32,11 @@
 //!
 //! * [`ProgressMonitor`] ([`shard`]) — the single-threaded core. Embed it
 //!   when one ingest thread suffices (one receiver draining a channel).
-//! * [`MonitorService`] ([`service`]) — N shards as cooperatively
-//!   scheduled tasks on a small work-stealing worker pool ([`runtime`];
-//!   sized and pinned via [`RuntimeConfig`]). Ingest routes each event to
-//!   the shard owning `query % n_shards` and drains in batches; every
+//! * [`MonitorService`] ([`service`]) — N shards, each owned for the
+//!   service's whole life by one worker thread, `shard % workers`
+//!   ([`runtime`]; sized and pinned via [`RuntimeConfig`]). Ingest routes
+//!   each event to the shard owning `query % n_shards`, and the owning
+//!   worker drains it in batches; every
 //!   per-query read (`query_progress`, `remaining_time`, `status`, …)
 //!   read-locks the shard's slot registry, clones the query's slot `Arc`
 //!   and runs one seqlock pass over the snapshot the owning shard
@@ -95,7 +96,7 @@
 //!
 //! Finally, both shapes plug into the **online-learning loop** (the
 //! `prosel-learn` crate): a [`HarvestSink`] attached via
-//! [`ProgressMonitor::with_harvester`] receives every finished query as a
+//! [`MonitorBuilder::harvester`] receives every finished query as a
 //! [`HarvestedQuery`] — labelled training records mined from the
 //! finalized incremental state (bit-identical to batch extraction over
 //! the same trace) plus the §4.4 switch history — and retrained selectors
@@ -115,8 +116,8 @@
 //! keep their operation counters and sampled ingest/eval latency
 //! histograms as registry metrics ([`ShardStats`] is a view over the
 //! same atomics), the service adds read/registration/swap latency, tap
-//! volume and a control-plane [`prosel_obs::TraceRing`], and the
-//! work-stealing runtime counts steals, parks and queue depth. Pass a
+//! volume and a control-plane [`prosel_obs::TraceRing`], and the shard
+//! workers count their parks and wakeups. Pass a
 //! registry via [`MonitorConfig::metrics`] /
 //! [`MonitorBuilder::metrics`], scrape with
 //! [`MonitorService::metrics`] or render the strict text exposition with

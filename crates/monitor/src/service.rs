@@ -1,16 +1,16 @@
-//! The sharded monitor service: N shards as cooperative tasks on a
-//! work-stealing runtime, with a read path that never queues behind ingest.
+//! The sharded monitor service: N shards statically owned by W worker
+//! threads, with a read path that never queues behind ingest.
 //!
 //! [`MonitorService`] scales the [`ProgressMonitor`] core past one ingest
 //! thread. Each shard owns the queries with `query % n_shards == shard`:
 //! a plain single-threaded [`ProgressMonitor`] guarded by a mutex, an
 //! event queue the tap pushes into, and a **published read snapshot** per
-//! registered query. Shards are not threads — they are tasks on a small
-//! hand-rolled work-stealing pool ([`crate::runtime`], sized and pinned
-//! via [`crate::RuntimeConfig`] inside
-//! [`MonitorConfig`](crate::MonitorConfig)); a shard task drains its event
-//! queue in batches (amortizing wakeups under saturated ingest) and
-//! republishes the affected query's snapshot after every event.
+//! registered query. Shards are not threads: worker `shard % workers`
+//! owns a shard for the service's whole life ([`crate::runtime`], sized
+//! and pinned via [`crate::RuntimeConfig`] inside
+//! [`MonitorConfig`](crate::MonitorConfig)). A worker drains each of its
+//! shards' event queues in batches, republishing the affected query's
+//! snapshot after every event, and parks when all of them are empty.
 //!
 //! **Reads never touch the ingest path.** `query_progress`,
 //! `remaining_time`, `progress_at_deadline`, `status` and friends read
@@ -31,7 +31,7 @@
 //! what the bit-identity equivalence suites pin — stays available as
 //! [`MonitorService::remaining_time_at_last_event`].
 //!
-//! Dead shards degrade, never lie: a panicking shard task is caught, the
+//! Dead shards degrade, never lie: a panicking shard drain is caught, the
 //! shard is marked dead, its queued events are counted as
 //! `events_rejected` (the conservation law `ingested + unroutable +
 //! rejected == sent` survives the crash), reads for its queries return
@@ -39,7 +39,7 @@
 //! via [`SwapError`], and the frozen stats snapshot keeps serving.
 
 use crate::eta::{Eta, StaleEta};
-use crate::runtime::{Runtime, RuntimeObs, Shared as RuntimeShared};
+use crate::runtime::{spawn_workers, Parker, INGEST_BATCH};
 use crate::shard::{
     PipelineStatus, ProgressMonitor, QueryStatus, QueryView, RegisterError, ShardCounters,
     ShardStats, SwitchEvent,
@@ -55,7 +55,8 @@ use prosel_obs::{
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Why a [`MonitorService`] read could not be served.
@@ -71,7 +72,7 @@ pub enum QueryError {
     /// its owning shard: never registered, already unregistered, or
     /// dropped after a corrupt/late-joined stream.
     QueryUnknown(usize),
-    /// The shard owning this query is dead (its task panicked) or the
+    /// The shard owning this query is dead (its drain panicked) or the
     /// service is shutting down.
     ShardDown,
 }
@@ -99,7 +100,7 @@ impl std::error::Error for QueryError {}
 /// (the dead shards need replacing anyway; they also fail every read).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwapError {
-    /// Shard ids the broadcast could not reach (dead tasks), ascending.
+    /// Shard ids the broadcast could not reach (dead shards), ascending.
     pub shards: Vec<usize>,
     /// The epoch the surviving shards now serve, if any survived.
     pub epoch: Option<u64>,
@@ -382,9 +383,11 @@ impl ServiceObs {
 /// One shard: the single-threaded monitor core, its event queue, and the
 /// published snapshots reads are served from.
 struct ShardSlot {
-    /// Events the tap routed here, awaiting the shard task.
+    /// Events the tap routed here, awaiting the owning worker.
     queue: Mutex<VecDeque<TraceEvent>>,
-    /// Events ever accepted into `queue` (monotone).
+    /// Events ever accepted into `queue` (monotone). Bumped with `SeqCst`
+    /// after each push: the write the owning worker's park re-check
+    /// reads (see [`Parker`]).
     enqueued: AtomicU64,
     /// Events removed from `queue` and fully accounted — ingested by the
     /// core, or counted as rejected on a dead shard. `processed ==
@@ -394,7 +397,7 @@ struct ShardSlot {
     /// Test hook: make the next drain pass panic mid-ingest (exercising
     /// the real crash path, poisoned core mutex included).
     poison_pill: AtomicBool,
-    /// The shard's monitor core. Writers only: the shard task (ingest),
+    /// The shard's monitor core. Writers only: the owning worker (ingest),
     /// registration, unregister, swaps. Never touched by reads.
     core: Mutex<ProgressMonitor>,
     /// Published per-query read snapshots.
@@ -406,7 +409,7 @@ struct ShardSlot {
     /// The slot (not the core) owns the `events_rejected` increments: the
     /// router and dead-queue sweeps count refusals here.
     counters: ShardCounters,
-    /// Quiesce waiters park here; the shard task notifies after each batch.
+    /// Quiesce waiters park here; the worker notifies after each batch.
     drain_sync: Mutex<()>,
     drained: Condvar,
 }
@@ -430,6 +433,13 @@ impl ShardSlot {
 
     fn is_alive(&self) -> bool {
         self.alive.load(Ordering::Acquire)
+    }
+
+    /// Does the owning worker have anything to do here: queued events not
+    /// yet accounted, or (on a live shard) an injected panic to take?
+    fn has_work(&self) -> bool {
+        self.enqueued.load(Ordering::SeqCst) > self.processed.load(Ordering::Acquire)
+            || (self.is_alive() && self.poison_pill.load(Ordering::Acquire))
     }
 
     fn lock_queue(&self) -> MutexGuard<'_, VecDeque<TraceEvent>> {
@@ -463,27 +473,27 @@ impl ShardSlot {
     }
 }
 
-/// State shared by the service handle, the worker pool and the taps.
+/// State shared by the service handle, the workers and the taps.
 struct ServiceInner {
     shards: Vec<ShardSlot>,
+    /// One parking spot per worker; worker `w` owns the shards with
+    /// `shard % parkers.len() == w`.
+    parkers: Box<[Parker]>,
     /// The serving clock (shared with the prototype's config) — stamps the
     /// staleness fold of [`MonitorService::remaining_time`].
     clock: Arc<dyn Clock>,
-    /// [`crate::RuntimeConfig::ingest_batch`], clamped to ≥ 1.
-    ingest_batch: usize,
     /// Set by shutdown before the final quiesce: taps refuse new events
     /// (returned to the sender, uncounted) while queued ones still drain.
     stopping: AtomicBool,
+    /// Set by shutdown after the final quiesce: workers exit instead of
+    /// parking.
+    halted: AtomicBool,
     /// Serializes [`MonitorService::swap_selector`] broadcasts: two
     /// concurrent swaps must apply in the same order on every shard, or
     /// shards would serve different models under the same epoch.
     swap_lock: Mutex<()>,
-    /// Handle into the worker pool (set once at construction; the runtime
-    /// body needs `ServiceInner` and the tap needs the runtime, so the
-    /// cycle is tied here).
-    runtime: OnceLock<Arc<RuntimeShared>>,
     /// The service's metrics registry: the shards' counters, the
-    /// service-level instrumentation and the runtime's counters all
+    /// service-level instrumentation and the workers' park counters all
     /// register here — [`MonitorService::metrics`] scrapes it. Taken from
     /// [`crate::MonitorConfig::metrics`] when set, created fresh
     /// otherwise.
@@ -500,11 +510,16 @@ impl ServiceInner {
         query % self.shards.len()
     }
 
-    /// Push one event onto its owning shard's queue and wake the shard
-    /// task. `Err(ev)` returns the event to the caller: the service is
-    /// stopping (uncounted, matching the old post-shutdown tap contract)
-    /// or the shard is dead (counted in `events_rejected` — the router
-    /// must not break the conservation law, satellite of ISSUE 7).
+    /// The parking spot of the worker that owns shard `si`.
+    fn parker_of(&self, si: usize) -> &Parker {
+        &self.parkers[si % self.parkers.len()]
+    }
+
+    /// Push one event onto its owning shard's queue and wake the owning
+    /// worker if it is parked. `Err(ev)` returns the event to the caller:
+    /// the service is stopping (uncounted, matching the old post-shutdown
+    /// tap contract) or the shard is dead (counted in `events_rejected` —
+    /// the router must not break the conservation law).
     fn enqueue(&self, ev: TraceEvent) -> Result<u64, TraceEvent> {
         let si = self.shard_of(ev.query());
         let slot = &self.shards[si];
@@ -522,11 +537,9 @@ impl ServiceInner {
                 return Err(ev);
             }
             queue.push_back(ev);
-            slot.enqueued.fetch_add(1, Ordering::AcqRel) + 1
+            slot.enqueued.fetch_add(1, Ordering::SeqCst) + 1
         };
-        if let Some(rt) = self.runtime.get() {
-            rt.schedule(si);
-        }
+        self.parker_of(si).wake();
         // The shard may have died between the liveness check and the push;
         // its final drain may already have run, so sweep the queue here
         // (idempotent — drains count whatever they pop, exactly once).
@@ -536,8 +549,9 @@ impl ServiceInner {
         Ok(target)
     }
 
-    /// Batched [`Self::enqueue`]: group by shard, one queue lock and one
-    /// wakeup per shard. Returns the events that could not be accepted.
+    /// Batched [`Self::enqueue`]: group by shard, one queue lock and at
+    /// most one wakeup per shard. Returns the events that could not be
+    /// accepted.
     fn enqueue_batch(&self, events: Vec<TraceEvent>) -> Vec<TraceEvent> {
         let n = self.shards.len();
         let mut by_shard: Vec<Vec<TraceEvent>> = Vec::new();
@@ -565,11 +579,9 @@ impl ServiceInner {
                     continue;
                 }
                 queue.extend(batch);
-                slot.enqueued.fetch_add(count, Ordering::AcqRel);
+                slot.enqueued.fetch_add(count, Ordering::SeqCst);
             }
-            if let Some(rt) = self.runtime.get() {
-                rt.schedule(si);
-            }
+            self.parker_of(si).wake();
             if !slot.is_alive() {
                 self.drain_dead(si);
             }
@@ -577,11 +589,35 @@ impl ServiceInner {
         returned
     }
 
-    /// The shard task body: drain (up to) one batch of events into the
-    /// core and republish the touched snapshots. Returns whether more
-    /// events are already waiting. Runs on the worker pool; panics are
-    /// caught here so the crash is accounted (shard marked dead, events
-    /// counted rejected) before the runtime's own catch sees anything.
+    /// One worker's life: drain the shards it owns until none has more
+    /// work, park until a producer wakes it, repeat — and exit once
+    /// shutdown has drained every queue and set `halted`.
+    fn run_worker(&self, worker: usize) {
+        let owned = (worker..self.shards.len()).step_by(self.parkers.len());
+        let parker = &self.parkers[worker];
+        loop {
+            let mut more = false;
+            for si in owned.clone().filter(|&si| self.shards[si].has_work()) {
+                more |= self.drain_batch(si);
+            }
+            if more {
+                continue;
+            }
+            if self.halted.load(Ordering::Acquire) {
+                return;
+            }
+            parker.park(|| {
+                self.halted.load(Ordering::Acquire)
+                    || owned.clone().any(|si| self.shards[si].has_work())
+            });
+        }
+    }
+
+    /// Drain (up to) one batch of shard `si`'s events into its core and
+    /// republish the touched snapshots. Returns whether more events are
+    /// already waiting. Runs on the owning worker only; panics are caught
+    /// here and the crash is accounted (shard marked dead, events counted
+    /// rejected), so the worker goes on draining its other shards.
     fn drain_batch(&self, si: usize) -> bool {
         let slot = &self.shards[si];
         if !slot.is_alive() {
@@ -590,7 +626,7 @@ impl ServiceInner {
         }
         let batch: Vec<TraceEvent> = {
             let mut queue = slot.lock_queue();
-            let n = self.ingest_batch.min(queue.len());
+            let n = INGEST_BATCH.min(queue.len());
             queue.drain(..n).collect()
         };
         if batch.is_empty() && !slot.poison_pill.load(Ordering::Acquire) {
@@ -734,102 +770,55 @@ impl TapSink for ShardRouter {
 /// when to prefer the plain [`ProgressMonitor`].
 pub struct MonitorService {
     inner: Arc<ServiceInner>,
-    runtime: Runtime,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl MonitorService {
-    /// Service with one fixed estimator on every pipeline, `n_shards`
-    /// shard tasks (clamped to ≥ 1).
-    ///
-    /// Documented legacy: prefer
-    /// [`MonitorBuilder::fixed`](crate::MonitorBuilder::fixed)`.shards(n).build_service()`,
-    /// which also carries config, harvester and checkpoint-restore. Kept
-    /// as a thin delegate for existing embeds.
-    ///
-    /// # Panics
-    /// Panics for the oracle kinds, like [`ProgressMonitor::fixed`]; use
-    /// [`Self::try_fixed`] to handle the error as a value.
-    pub fn fixed(kind: EstimatorKind, n_shards: usize) -> MonitorService {
-        Self::try_fixed(kind, n_shards).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`Self::fixed`]. Documented legacy — prefer
-    /// [`crate::MonitorBuilder`].
-    pub fn try_fixed(
-        kind: EstimatorKind,
+    /// Scale `prototype` across `n_shards` shards (clamped to ≥ 1): every
+    /// shard is a fork of it (same policy, config, selector epoch and
+    /// harvest sink), and its [`crate::RuntimeConfig`] sizes and pins the
+    /// workers. Shards, service and workers all publish into `metrics`.
+    /// Built through [`crate::MonitorBuilder::build_service`].
+    pub(crate) fn spawn(
+        mut prototype: ProgressMonitor,
         n_shards: usize,
-    ) -> Result<MonitorService, RegisterError> {
-        Ok(Self::spawn(ProgressMonitor::try_fixed(kind)?, n_shards))
-    }
-
-    /// Service with a trained selector (shared by every shard): static
-    /// selection at registration, dynamic re-selection at the configured
-    /// cadence — exactly the [`ProgressMonitor::with_selector`] behavior,
-    /// scaled across `n_shards` shard tasks. Accepts an owned selector or
-    /// an `Arc` (shared with a learning loop). Documented legacy — prefer
-    /// [`MonitorBuilder::with_selector`](crate::MonitorBuilder::with_selector).
-    pub fn with_selector(
-        selector: impl Into<Arc<EstimatorSelector>>,
-        config: crate::shard::MonitorConfig,
-        n_shards: usize,
+        metrics: Arc<MetricsRegistry>,
     ) -> MonitorService {
-        Self::spawn(ProgressMonitor::with_selector(selector, config), n_shards)
-    }
-
-    /// Scale an arbitrarily configured [`ProgressMonitor`] across
-    /// `n_shards` shard tasks: every shard is a fork of `prototype` (same
-    /// policy, config, selector epoch and — notably — harvest sink, so a
-    /// service built from a harvesting prototype feeds one learning loop
-    /// from all shards). The prototype's own registered queries are *not*
-    /// carried over; forks start empty. The prototype's
-    /// [`crate::RuntimeConfig`] (inside its [`crate::MonitorConfig`])
-    /// sizes and pins the worker pool. Documented legacy — prefer
-    /// [`crate::MonitorBuilder`], which builds the prototype for you.
-    pub fn from_prototype(prototype: ProgressMonitor, n_shards: usize) -> MonitorService {
-        Self::spawn(prototype, n_shards)
-    }
-
-    pub(crate) fn spawn(mut prototype: ProgressMonitor, n_shards: usize) -> MonitorService {
         let n = n_shards.max(1);
-        // Every service has a scrapeable registry: the configured one, or
-        // a private one when the caller supplied none. Shard forks pick it
-        // up through the prototype's config.
-        let metrics = prototype.ensure_metrics();
+        // Shard forks pick the registry up through the prototype's config.
+        prototype.attach_metrics(Arc::clone(&metrics));
         let obs_options = prototype.config().obs;
         let runtime_config = prototype.config().runtime.clone();
         let clock = Arc::clone(&prototype.config().clock);
         let shards = (0..n).map(|si| ShardSlot::new(prototype.fork(si))).collect();
-        let obs = ServiceObs::new(&metrics, obs_options);
-        let ring = TraceRing::new(256, Arc::clone(&clock));
-        let runtime_obs = Arc::new(RuntimeObs::from_registry(&metrics));
+        let n_workers = runtime_config.resolved_workers(n);
         let inner = Arc::new(ServiceInner {
             shards,
+            parkers: (0..n_workers).map(|_| Parker::new(&metrics)).collect(),
+            ring: TraceRing::new(256, Arc::clone(&clock)),
             clock,
-            ingest_batch: runtime_config.ingest_batch.max(1),
             stopping: AtomicBool::new(false),
+            halted: AtomicBool::new(false),
             swap_lock: Mutex::new(()),
-            runtime: OnceLock::new(),
+            obs: ServiceObs::new(&metrics, obs_options),
             metrics,
-            ring,
-            obs,
         });
-        let body: Arc<dyn Fn(usize) -> bool + Send + Sync> = {
+        let workers = {
             let inner = Arc::clone(&inner);
-            Arc::new(move |task| inner.drain_batch(task))
+            spawn_workers(&runtime_config, n_workers, move |w| inner.run_worker(w))
         };
-        let runtime = Runtime::spawn_observed(n, &runtime_config, body, Some(runtime_obs));
-        let _ = inner.runtime.set(runtime.shared());
-        MonitorService { inner, runtime }
+        MonitorService { inner, workers }
     }
 
-    /// Number of shards (tasks, not threads — see [`Self::n_workers`]).
+    /// Number of shards (not threads — see [`Self::n_workers`]).
     pub fn n_shards(&self) -> usize {
         self.inner.shards.len()
     }
 
-    /// Number of pool workers executing the shard tasks.
+    /// Number of worker threads draining the shards; never more than
+    /// [`Self::n_shards`]. Worker `shard % n_workers` owns a shard.
     pub fn n_workers(&self) -> usize {
-        self.runtime.worker_count()
+        self.inner.parkers.len()
     }
 
     /// Block until every event enqueued so far (tap or
@@ -1178,7 +1167,7 @@ impl MonitorService {
 
     /// The service's metrics registry: every shard's counters
     /// (`monitor_shard<i>_*`), the service instrumentation (`service_*`,
-    /// `tap_*`) and the runtime's scheduler counters (`runtime_*`) all
+    /// `tap_*`) and the workers' park counters (`runtime_*`) all
     /// live here. The same registry the caller passed via
     /// [`crate::MonitorConfig::metrics`], or a service-private one.
     pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
@@ -1249,22 +1238,21 @@ impl MonitorService {
         Ok(())
     }
 
-    /// Deliberately crash one shard task — test hook for the crash-path
+    /// Deliberately crash one shard — test hook for the crash-path
     /// suites (dead-shard reads, partial swaps, conservation under
-    /// failure). Sets a poison pill, schedules the shard, and waits until
-    /// the task has panicked through the real ingest path (poisoning the
-    /// core mutex exactly like an organic crash). No-op on an
-    /// already-dead shard.
+    /// failure). Sets a poison pill, wakes the owning worker, and waits
+    /// until its next drain of the shard has panicked through the real
+    /// ingest path (poisoning the core mutex exactly like an organic
+    /// crash). No-op on an already-dead shard.
     #[doc(hidden)]
     pub fn inject_shard_panic(&self, shard: usize) {
-        let slot = &self.inner.shards[shard % self.inner.shards.len()];
+        let si = shard % self.inner.shards.len();
+        let slot = &self.inner.shards[si];
         if !slot.is_alive() {
             return;
         }
         slot.poison_pill.store(true, Ordering::Release);
-        if let Some(rt) = self.inner.runtime.get() {
-            rt.schedule(shard % self.inner.shards.len());
-        }
+        self.inner.parker_of(si).notify();
         while slot.is_alive() {
             std::thread::yield_now();
         }
@@ -1278,20 +1266,28 @@ impl MonitorService {
         self.stop();
     }
 
+    /// Idempotent: a second call finds nothing queued and no worker left
+    /// to join.
     fn stop(&mut self) {
         // Refuse new tap events, then drain what's already queued, then
-        // stop the pool (its own shutdown also runs queued tasks dry).
+        // release and join the workers.
         self.inner.stopping.store(true, Ordering::Release);
         // Cycle every queue lock: a racing enqueue either completed its
         // push before this barrier (so the quiesce below sees and drains
         // it while the workers are still up) or takes the lock after it
         // and observes `stopping` — no event can slip in unprocessed
-        // between the quiesce and the pool teardown.
+        // between the quiesce and the worker teardown.
         for slot in &self.inner.shards {
             drop(slot.lock_queue());
         }
         self.inner.quiesce();
-        self.runtime.stop();
+        self.inner.halted.store(true, Ordering::Release);
+        for parker in self.inner.parkers.iter() {
+            parker.notify();
+        }
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
     }
 }
 
@@ -1304,43 +1300,13 @@ impl Drop for MonitorService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prosel_engine::plan::{OperatorKind, PlanNode};
-    use prosel_engine::trace::Snapshot;
-
-    fn scan_plan() -> PhysicalPlan {
-        PhysicalPlan {
-            nodes: vec![PlanNode {
-                op: OperatorKind::TableScan { table: "t".into(), cols: vec![0] },
-                children: vec![],
-                est_rows: 100.0,
-                est_row_bytes: 8.0,
-                out_cols: 1,
-            }],
-            root: 0,
-        }
-    }
-
-    fn snapshot_event(query: usize, seq: u64, time: f64, k: u64) -> TraceEvent {
-        TraceEvent::Snapshot {
-            query,
-            seq,
-            // Tests stamp wall == virtual time (one tick per second).
-            wall: time,
-            snapshot: Snapshot {
-                time,
-                k: vec![k].into_boxed_slice(),
-                bytes_read: vec![k * 8].into_boxed_slice(),
-                bytes_written: vec![0].into_boxed_slice(),
-                materialized: vec![0].into_boxed_slice(),
-            },
-            windows: vec![(1.0, time)].into_boxed_slice(),
-        }
-    }
+    use crate::shard::test_support::{dne_service, scan_plan, snapshot_event};
+    use crate::{MonitorBuilder, MonitorError};
 
     #[test]
     fn routes_registration_ingest_and_reads_by_query_id() {
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 4);
+        let service = dne_service(4);
         assert_eq!(service.n_shards(), 4);
         assert!(service.n_workers() >= 1);
         // Query ids chosen to land on distinct shards (mod 4).
@@ -1382,7 +1348,7 @@ mod tests {
     fn delta_events_route_and_advance_progress_like_snapshots() {
         use prosel_engine::trace::{CounterKind, CounterUpdate};
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 2);
+        let service = dne_service(2);
         service.register(6, &plan);
         // Full baseline, then a sparse delta standing for snapshot seq 1.
         service.ingest(snapshot_event(6, 0, 10.0, 25));
@@ -1404,7 +1370,7 @@ mod tests {
     #[test]
     fn duplicate_registration_is_an_error_not_an_abort() {
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 2);
+        let service = dne_service(2);
         assert_eq!(service.try_register(5, &plan), Ok(()));
         assert_eq!(service.try_register(5, &plan), Err(RegisterError::DuplicateQuery(5)));
         // The shard survives and still serves the original registration.
@@ -1415,7 +1381,7 @@ mod tests {
     #[test]
     fn batch_registration_covers_all_shards_and_reports_duplicates() {
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 3);
+        let service = dne_service(3);
         service.register(4, &plan);
         let queries: Vec<usize> = (0..10).collect();
         let mut results = service.try_register_batch(&queries, &plan);
@@ -1432,7 +1398,7 @@ mod tests {
     #[test]
     fn eta_reads_are_routed_and_typed() {
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 2);
+        let service = dne_service(2);
         service.register(6, &plan);
         assert!(!service.remaining_time(6).expect("registered").is_known());
         service.ingest(snapshot_event(6, 0, 10.0, 25));
@@ -1461,11 +1427,10 @@ mod tests {
     fn swap_selector_broadcasts_and_epochs_stay_aligned() {
         let favoring = crate::shard::test_support::selector_favoring;
         let plan = scan_plan();
-        let service = MonitorService::with_selector(
-            favoring(EstimatorKind::Dne),
-            crate::shard::MonitorConfig::default(),
-            3,
-        );
+        let service = MonitorBuilder::with_selector(favoring(EstimatorKind::Dne))
+            .shards(3)
+            .build_service()
+            .unwrap();
         // One query per shard registered under epoch 0.
         for q in 0..3usize {
             service.register(q, &plan);
@@ -1498,8 +1463,11 @@ mod tests {
             clock: Arc::clone(&clock) as Arc<dyn Clock>,
             ..Default::default()
         };
-        let prototype = ProgressMonitor::fixed(EstimatorKind::Dne).with_config(config);
-        let service = MonitorService::from_prototype(prototype, 2);
+        let service = MonitorBuilder::fixed(EstimatorKind::Dne)
+            .config(config)
+            .shards(2)
+            .build_service()
+            .unwrap();
         service.register(4, &plan);
         service.ingest(snapshot_event(4, 0, 10.0, 25));
         service.ingest(snapshot_event(4, 1, 20.0, 50));
@@ -1529,11 +1497,11 @@ mod tests {
         use crate::shard::{HarvestConfig, HarvestedQuery};
         let plan = scan_plan();
         let (sink, harvested) = std::sync::mpsc::channel::<HarvestedQuery>();
-        let prototype = ProgressMonitor::fixed(EstimatorKind::Dne).with_harvester(
-            Arc::new(sink),
-            HarvestConfig { label: "svc".into(), min_observations: 2 },
-        );
-        let service = MonitorService::from_prototype(prototype, 3);
+        let service = MonitorBuilder::fixed(EstimatorKind::Dne)
+            .harvester(Arc::new(sink), HarvestConfig { label: "svc".into(), min_observations: 2 })
+            .shards(3)
+            .build_service()
+            .unwrap();
         for q in 0..6usize {
             service.register(q, &plan);
             for seq in 0..3u64 {
@@ -1558,11 +1526,14 @@ mod tests {
         let plan = scan_plan();
         // 2 shards × cap 2 = 4 admission slots service-wide.
         let config = MonitorConfig { max_queries: 2, ..Default::default() };
-        let prototype = ProgressMonitor::fixed(EstimatorKind::Dne).with_config(config);
-        let service = MonitorService::from_prototype(prototype, 2);
+        let service = MonitorBuilder::fixed(EstimatorKind::Dne)
+            .config(config)
+            .shards(2)
+            .build_service()
+            .unwrap();
         // Flood well past the cap through both admission paths: every
         // over-cap registration must come back as a typed Saturated value
-        // and no shard task may die.
+        // and no shard may die.
         let queries: Vec<usize> = (0..16).collect();
         let results = service.try_register_batch(&queries, &plan);
         let admitted: Vec<usize> =
@@ -1593,7 +1564,7 @@ mod tests {
     #[test]
     fn stats_fold_per_shard_counters_after_the_queues_drain() {
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 3);
+        let service = dne_service(3);
         for q in 0..6usize {
             service.register(q, &plan);
         }
@@ -1619,9 +1590,13 @@ mod tests {
 
     #[test]
     fn oracle_kinds_are_refused() {
-        assert_eq!(
-            MonitorService::try_fixed(EstimatorKind::BytesOracle, 2).err(),
-            Some(RegisterError::OracleKind(EstimatorKind::BytesOracle))
+        let err = MonitorBuilder::fixed(EstimatorKind::BytesOracle).shards(2).build_service().err();
+        assert!(
+            matches!(
+                err,
+                Some(MonitorError::Register(RegisterError::OracleKind(EstimatorKind::BytesOracle)))
+            ),
+            "{err:?}"
         );
     }
 
@@ -1635,7 +1610,7 @@ mod tests {
     #[test]
     fn batched_tap_sends_are_equivalent_to_singles() {
         let plan = scan_plan();
-        let service = MonitorService::fixed(EstimatorKind::Dne, 3);
+        let service = dne_service(3);
         for q in 0..6usize {
             service.register(q, &plan);
         }
@@ -1657,7 +1632,7 @@ mod tests {
         // streams events: every read must return a sane value and the
         // final state must be exact.
         let plan = scan_plan();
-        let service = std::sync::Arc::new(MonitorService::fixed(EstimatorKind::Dne, 4));
+        let service = std::sync::Arc::new(dne_service(4));
         let n_queries = 32usize;
         for q in 0..n_queries {
             service.register(q, &plan);
@@ -1700,11 +1675,10 @@ mod tests {
     fn dead_shard_reads_swaps_and_router_degrade_cleanly() {
         let favoring = crate::shard::test_support::selector_favoring;
         let plan = scan_plan();
-        let service = MonitorService::with_selector(
-            favoring(EstimatorKind::Dne),
-            crate::shard::MonitorConfig::default(),
-            3,
-        );
+        let service = MonitorBuilder::with_selector(favoring(EstimatorKind::Dne))
+            .shards(3)
+            .build_service()
+            .unwrap();
         for q in 0..6usize {
             service.register(q, &plan);
         }

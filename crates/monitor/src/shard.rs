@@ -64,8 +64,8 @@ pub struct MonitorConfig {
     /// never a panic — so an open-loop traffic spike degrades into
     /// rejected admissions instead of unbounded shard state.
     pub max_queries: usize,
-    /// Shard-runtime knobs (worker pool size, core affinity, ingest batch)
-    /// — service mode only; a plain [`ProgressMonitor`] ignores them.
+    /// Shard-worker knobs (worker count, core affinity) — service mode
+    /// only; a plain [`ProgressMonitor`] ignores them.
     pub runtime: RuntimeConfig,
     /// Metrics registry the monitor publishes its counters and latency
     /// histograms into (`monitor_*` names standalone, `monitor_shard<i>_*`
@@ -100,8 +100,8 @@ impl Default for MonitorConfig {
 /// A service fronting thousands of queries must not abort on a duplicate
 /// id or a misconfigured estimator — these are recoverable caller errors,
 /// surfaced as values via [`ProgressMonitor::try_register`] /
-/// [`ProgressMonitor::try_fixed`] (the panicking entry points route
-/// through the same checks).
+/// [`crate::MonitorBuilder`] (the panicking entry points route through the
+/// same checks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegisterError {
     /// The query id is already registered on this monitor/shard.
@@ -403,9 +403,12 @@ pub struct QueryStatus {
     pub pipelines: Vec<PipelineStatus>,
 }
 
+/// Which selection policy a monitor serves.
 #[derive(Clone)]
-enum Policy {
+pub(crate) enum Policy {
+    /// One fixed estimator on every pipeline.
     Fixed(EstimatorKind),
+    /// Static selection at registration, dynamic re-selection after.
     Selector(Arc<EstimatorSelector>),
 }
 
@@ -517,97 +520,30 @@ pub struct ProgressMonitor {
 }
 
 impl ProgressMonitor {
-    /// Monitor every pipeline with one fixed estimator (no selection).
-    ///
-    /// Documented legacy: prefer
-    /// [`MonitorBuilder::fixed`](crate::MonitorBuilder::fixed)`.build_monitor()`,
-    /// which also carries config, harvester and checkpoint-restore in one
-    /// construction surface. Kept as a thin delegate for existing embeds.
-    ///
-    /// # Panics
-    /// Panics for the oracle kinds (`GetNextOracle`, `BytesOracle`): they
-    /// need post-hoc totals and cannot serve live progress. Use
-    /// [`Self::try_fixed`] to handle the error as a value.
-    pub fn fixed(kind: EstimatorKind) -> ProgressMonitor {
-        Self::try_fixed(kind).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`Self::fixed`]: refuses the oracle kinds with
-    /// [`RegisterError::OracleKind`]. Documented legacy — prefer
-    /// [`crate::MonitorBuilder`].
-    pub fn try_fixed(kind: EstimatorKind) -> Result<ProgressMonitor, RegisterError> {
-        if !prosel_estimators::ONLINE_KINDS.contains(&kind) {
-            return Err(RegisterError::OracleKind(kind));
+    /// The one constructor, behind [`crate::MonitorBuilder`]. Refuses a
+    /// fixed oracle kind (`GetNextOracle`, `BytesOracle`) with
+    /// [`RegisterError::OracleKind`]: those need post-hoc totals and
+    /// cannot serve live progress.
+    pub(crate) fn new(
+        policy: Policy,
+        config: MonitorConfig,
+        harvester: Option<(Arc<dyn HarvestSink>, HarvestConfig)>,
+    ) -> Result<ProgressMonitor, RegisterError> {
+        if let Policy::Fixed(kind) = policy {
+            if !prosel_estimators::ONLINE_KINDS.contains(&kind) {
+                return Err(RegisterError::OracleKind(kind));
+            }
         }
-        let config = MonitorConfig::default();
-        let counters = ShardCounters::from_config(&config, None);
         Ok(ProgressMonitor {
-            policy: Policy::Fixed(kind),
+            policy,
+            counters: ShardCounters::from_config(&config, None),
             config,
             queries: BTreeMap::new(),
             epoch: 0,
-            harvester: None,
-            counters,
+            harvester,
             obs_tick: 0,
             obs_timed: false,
         })
-    }
-
-    /// Monitor with a trained selector: static selection at registration,
-    /// dynamic re-selection at the configured observation cadence.
-    ///
-    /// Accepts an owned [`EstimatorSelector`] or an
-    /// `Arc<EstimatorSelector>` — the `Arc` form is how the sharded
-    /// service has N shards score with one model instance instead of N
-    /// copies. Documented legacy: prefer
-    /// [`MonitorBuilder::with_selector`](crate::MonitorBuilder::with_selector).
-    pub fn with_selector(
-        selector: impl Into<Arc<EstimatorSelector>>,
-        config: MonitorConfig,
-    ) -> ProgressMonitor {
-        let counters = ShardCounters::from_config(&config, None);
-        ProgressMonitor {
-            policy: Policy::Selector(selector.into()),
-            config,
-            queries: BTreeMap::new(),
-            epoch: 0,
-            harvester: None,
-            counters,
-            obs_tick: 0,
-            obs_timed: false,
-        }
-    }
-
-    /// Replace the monitor's configuration, builder-style — the way to
-    /// give a fixed-policy monitor (whose constructors start from
-    /// defaults) a deterministic clock or a different ETA window. Applies
-    /// to future registrations; already-registered queries keep the ETA
-    /// window they were created with. Rebuilds the metric handles from
-    /// the new config's registry, so tallies restart from zero — call
-    /// this builder-style at construction, before any traffic.
-    pub fn with_config(mut self, config: MonitorConfig) -> ProgressMonitor {
-        self.counters = ShardCounters::from_config(&config, None);
-        self.config = config;
-        self
-    }
-
-    /// Attach a harvest sink: from now on, every `Finished` event
-    /// additionally mines the query's finalized observation state into
-    /// labelled [`PipelineRecord`]s (bit-identical to batch extraction
-    /// over the same trace) and delivers them, together with the switch
-    /// history, as one [`HarvestedQuery`]. Builder-style.
-    pub fn with_harvester(
-        mut self,
-        sink: Arc<dyn HarvestSink>,
-        config: HarvestConfig,
-    ) -> ProgressMonitor {
-        self.set_harvester(sink, config);
-        self
-    }
-
-    /// Attach (or replace) the harvest sink. See [`Self::with_harvester`].
-    pub fn set_harvester(&mut self, sink: Arc<dyn HarvestSink>, config: HarvestConfig) {
-        self.harvester = Some((sink, config));
     }
 
     /// Install `selector` for **future registrations** and bump the
@@ -1196,17 +1132,6 @@ impl ProgressMonitor {
         &self.config
     }
 
-    /// Service construction: make sure the config carries a metrics
-    /// registry (creating a fresh one when the caller supplied none), so
-    /// shard forks, the service instrumentation and the runtime counters
-    /// all land somewhere scrapeable. Returns the registry handle.
-    pub(crate) fn ensure_metrics(&mut self) -> Arc<MetricsRegistry> {
-        if self.config.metrics.is_none() {
-            self.config.metrics = Some(Arc::new(MetricsRegistry::new()));
-        }
-        Arc::clone(self.config.metrics.as_ref().expect("just ensured"))
-    }
-
     /// Service construction: put `registry` in the config **without**
     /// rebuilding this monitor's own counter handles. A service
     /// prototype never serves traffic itself — only its forks do — so
@@ -1263,12 +1188,59 @@ impl ProgressMonitor {
 /// Fixtures shared by the shard and service test modules.
 #[cfg(test)]
 pub(crate) mod test_support {
+    use super::ProgressMonitor;
+    use crate::{MonitorBuilder, MonitorService};
     use prosel_core::features::FeatureSchema;
     use prosel_core::pipeline_runs::PipelineRecord;
     use prosel_core::selection::{EstimatorSelector, SelectorConfig};
     use prosel_core::training::TrainingSet;
+    use prosel_engine::plan::{OperatorKind, PhysicalPlan, PlanNode};
+    use prosel_engine::trace::{Snapshot, TraceEvent};
     use prosel_estimators::EstimatorKind;
     use prosel_mart::BoostParams;
+
+    /// A fixed-DNE single-threaded monitor with the default config.
+    pub(crate) fn dne_monitor() -> ProgressMonitor {
+        MonitorBuilder::fixed(EstimatorKind::Dne).build_monitor().expect("DNE is online")
+    }
+
+    /// A fixed-DNE service over `shards` shards with the default config.
+    pub(crate) fn dne_service(shards: usize) -> MonitorService {
+        MonitorBuilder::fixed(EstimatorKind::Dne)
+            .shards(shards)
+            .build_service()
+            .expect("DNE is online")
+    }
+
+    pub(crate) fn scan_plan() -> PhysicalPlan {
+        PhysicalPlan {
+            nodes: vec![PlanNode {
+                op: OperatorKind::TableScan { table: "t".into(), cols: vec![0] },
+                children: vec![],
+                est_rows: 100.0,
+                est_row_bytes: 8.0,
+                out_cols: 1,
+            }],
+            root: 0,
+        }
+    }
+
+    pub(crate) fn snapshot_event(query: usize, seq: u64, time: f64, k: u64) -> TraceEvent {
+        TraceEvent::Snapshot {
+            query,
+            seq,
+            // Tests stamp wall == virtual time (one tick per second).
+            wall: time,
+            snapshot: Snapshot {
+                time,
+                k: vec![k].into_boxed_slice(),
+                bytes_read: vec![k * 8].into_boxed_slice(),
+                bytes_written: vec![0].into_boxed_slice(),
+                materialized: vec![0].into_boxed_slice(),
+            },
+            windows: vec![(1.0, time)].into_boxed_slice(),
+        }
+    }
 
     /// A selector whose constant error models make it always pick `kind`
     /// (features are irrelevant — every record reports `kind` as the
@@ -1307,41 +1279,11 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::selector_favoring;
+    use super::test_support::{dne_monitor, scan_plan, selector_favoring, snapshot_event};
     use super::*;
+    use crate::{MonitorBuilder, MonitorError};
     use prosel_core::features::FeatureSchema;
     use prosel_engine::clock::ManualClock;
-    use prosel_engine::plan::{OperatorKind, PlanNode};
-
-    fn scan_plan() -> PhysicalPlan {
-        PhysicalPlan {
-            nodes: vec![PlanNode {
-                op: OperatorKind::TableScan { table: "t".into(), cols: vec![0] },
-                children: vec![],
-                est_rows: 100.0,
-                est_row_bytes: 8.0,
-                out_cols: 1,
-            }],
-            root: 0,
-        }
-    }
-
-    fn snapshot_event(query: usize, seq: u64, time: f64, k: u64) -> TraceEvent {
-        TraceEvent::Snapshot {
-            query,
-            seq,
-            // Tests stamp wall == virtual time (one tick per second).
-            wall: time,
-            snapshot: Snapshot {
-                time,
-                k: vec![k].into_boxed_slice(),
-                bytes_read: vec![k * 8].into_boxed_slice(),
-                bytes_written: vec![0].into_boxed_slice(),
-                materialized: vec![0].into_boxed_slice(),
-            },
-            windows: vec![(1.0, time)].into_boxed_slice(),
-        }
-    }
 
     fn raw_snapshot(time: f64, k: u64) -> Snapshot {
         Snapshot {
@@ -1357,8 +1299,8 @@ mod tests {
     fn delta_stream_matches_full_snapshot_stream_bitwise() {
         use prosel_engine::trace::DeltaEncoder;
         let plan = scan_plan();
-        let mut full = ProgressMonitor::fixed(EstimatorKind::Dne);
-        let mut delta = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut full = dne_monitor();
+        let mut delta = dne_monitor();
         full.register(7, &plan);
         delta.register(7, &plan);
         let mut enc = DeltaEncoder::new();
@@ -1406,7 +1348,7 @@ mod tests {
         // The engine always emits a full snapshot first; a delta arriving
         // at seq 0 means the baseline was lost — state is untrustworthy.
         let plan = scan_plan();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne_monitor();
         monitor.register(3, &plan);
         monitor.ingest(TraceEvent::Delta {
             query: 3,
@@ -1430,7 +1372,7 @@ mod tests {
         // Out-of-range node index: the engine is running a different plan
         // under this id. The scratch must stay untouched and the query
         // dropped, not a panic or a silent partial patch.
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne_monitor();
         monitor.register(5, &plan);
         monitor.ingest(snapshot_event(5, 0, 10.0, 25));
         monitor.ingest(TraceEvent::Delta {
@@ -1447,7 +1389,7 @@ mod tests {
         });
         assert_eq!(monitor.query_progress(5), None, "out-of-range node must drop the query");
         // A seq gap on the delta path is refused like on the snapshot path.
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne_monitor();
         monitor.register(6, &plan);
         monitor.ingest(snapshot_event(6, 0, 10.0, 25));
         monitor.ingest(TraceEvent::Delta {
@@ -1464,7 +1406,7 @@ mod tests {
     #[test]
     fn late_registration_is_refused_not_corrupted() {
         let plan = scan_plan();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne_monitor();
         // Registered only after the engine already emitted snapshot 0:
         // the buffer mirror is unreconstructable, so the first ingested
         // snapshot (seq 1 != expected 0) must drop the query.
@@ -1477,7 +1419,7 @@ mod tests {
     #[test]
     fn timely_registration_serves_progress() {
         let plan = scan_plan();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne_monitor();
         monitor.register(7, &plan);
         monitor.ingest(snapshot_event(7, 0, 10.0, 25));
         assert!((monitor.query_progress(7).unwrap() - 0.25).abs() < 1e-12);
@@ -1498,7 +1440,7 @@ mod tests {
         // check against finalized pipes — it must drop the stale state,
         // not panic (a panic would kill a whole service shard).
         let plan = scan_plan();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne_monitor();
         monitor.register(9, &plan);
         monitor.ingest(TraceEvent::Finished {
             query: 9,
@@ -1528,7 +1470,7 @@ mod tests {
         // registered plan means a different plan ran under this id — it
         // must drop the state, not index out of bounds (which would kill
         // a whole service shard).
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne_monitor();
         monitor.register(4, &plan);
         monitor.ingest(TraceEvent::Finished {
             query: 4,
@@ -1562,7 +1504,8 @@ mod tests {
             clock: Arc::new(ManualClock::new(0.0)) as Arc<dyn Clock>,
             ..Default::default()
         };
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne).with_config(config);
+        let mut monitor =
+            MonitorBuilder::fixed(EstimatorKind::Dne).config(config).build_monitor().unwrap();
         assert_eq!(monitor.remaining_time(0), None, "unregistered");
         monitor.register(0, &plan);
         let eta = monitor.remaining_time(0).expect("registered");
@@ -1592,7 +1535,7 @@ mod tests {
     #[test]
     fn try_register_reports_duplicates_as_values() {
         let plan = scan_plan();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne_monitor();
         assert_eq!(monitor.try_register(3, &plan), Ok(()));
         assert_eq!(monitor.try_register(3, &plan), Err(RegisterError::DuplicateQuery(3)));
         // The original registration survives the refused duplicate.
@@ -1604,12 +1547,13 @@ mod tests {
     #[test]
     fn try_fixed_refuses_oracle_kinds() {
         for kind in [EstimatorKind::GetNextOracle, EstimatorKind::BytesOracle] {
-            assert_eq!(
-                ProgressMonitor::try_fixed(kind).err(),
-                Some(RegisterError::OracleKind(kind))
+            let err = MonitorBuilder::fixed(kind).build_monitor().err();
+            assert!(
+                matches!(err, Some(MonitorError::Register(RegisterError::OracleKind(k))) if k == kind),
+                "{err:?}"
             );
         }
-        assert!(ProgressMonitor::try_fixed(EstimatorKind::Dne).is_ok());
+        assert!(MonitorBuilder::fixed(EstimatorKind::Dne).build_monitor().is_ok());
     }
 
     #[test]
@@ -1618,7 +1562,8 @@ mod tests {
         let clock = Arc::new(ManualClock::new(0.0));
         let config =
             MonitorConfig { clock: Arc::clone(&clock) as Arc<dyn Clock>, ..Default::default() };
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne).with_config(config);
+        let mut monitor =
+            MonitorBuilder::fixed(EstimatorKind::Dne).config(config).build_monitor().unwrap();
         monitor.register(2, &plan);
         monitor.ingest(snapshot_event(2, 0, 1.0, 10));
         monitor.ingest(snapshot_event(2, 1, 2.0, 20));
@@ -1655,7 +1600,7 @@ mod tests {
         let favor_dne = Arc::new(selector_favoring(EstimatorKind::Dne));
         let favor_tgn = Arc::new(selector_favoring(EstimatorKind::Tgn));
         let mut monitor =
-            ProgressMonitor::with_selector(Arc::clone(&favor_dne), MonitorConfig::default());
+            MonitorBuilder::with_selector(Arc::clone(&favor_dne)).build_monitor().unwrap();
         assert_eq!(monitor.selector_epoch(), 0);
         monitor.register(0, &plan);
         assert_eq!(monitor.initial_choice(0, 0), Some(EstimatorKind::Dne));
@@ -1681,10 +1626,10 @@ mod tests {
     fn finished_queries_are_harvested_with_batch_equivalent_shape() {
         let plan = scan_plan();
         let (sink, harvested) = std::sync::mpsc::channel();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne).with_harvester(
-            Arc::new(sink),
-            HarvestConfig { label: "live".into(), min_observations: 3 },
-        );
+        let mut monitor = MonitorBuilder::fixed(EstimatorKind::Dne)
+            .harvester(Arc::new(sink), HarvestConfig { label: "live".into(), min_observations: 3 })
+            .build_monitor()
+            .unwrap();
         monitor.register(7, &plan);
         for seq in 0..5u64 {
             monitor.ingest(snapshot_event(7, seq, (seq + 1) as f64 * 8.0, 20 * (seq + 1)));
@@ -1727,7 +1672,8 @@ mod tests {
     fn admission_cap_refuses_with_typed_saturation_and_recovers() {
         let plan = scan_plan();
         let config = MonitorConfig { max_queries: 2, ..Default::default() };
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne).with_config(config);
+        let mut monitor =
+            MonitorBuilder::fixed(EstimatorKind::Dne).config(config).build_monitor().unwrap();
         assert_eq!(monitor.try_register(0, &plan), Ok(()));
         assert_eq!(monitor.try_register(1, &plan), Ok(()));
         // At the cap: a typed refusal, never a panic, and the duplicate
@@ -1748,10 +1694,10 @@ mod tests {
     fn shard_stats_obey_the_event_conservation_law() {
         let plan = scan_plan();
         let (sink, harvested) = std::sync::mpsc::channel();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne).with_harvester(
-            Arc::new(sink),
-            HarvestConfig { label: "cnt".into(), min_observations: 1 },
-        );
+        let mut monitor = MonitorBuilder::fixed(EstimatorKind::Dne)
+            .harvester(Arc::new(sink), HarvestConfig { label: "cnt".into(), min_observations: 1 })
+            .build_monitor()
+            .unwrap();
         monitor.register(0, &plan);
         monitor.ingest(snapshot_event(0, 0, 10.0, 25));
         monitor.ingest(snapshot_event(99, 0, 10.0, 25)); // untracked query
@@ -1784,7 +1730,7 @@ mod tests {
     #[should_panic(expected = "already registered")]
     fn register_still_panics_on_duplicates() {
         let plan = scan_plan();
-        let mut monitor = ProgressMonitor::fixed(EstimatorKind::Dne);
+        let mut monitor = dne_monitor();
         monitor.register(1, &plan);
         monitor.register(1, &plan);
     }

@@ -4,11 +4,11 @@
 //! The build environment has no route to a crates.io mirror, so the
 //! workspace vendors this minimal implementation under the same crate name.
 //! Bench targets compile unchanged (`criterion_group!` / `criterion_main!`,
-//! `benchmark_group`, `bench_function`, `bench_with_input`, `Throughput`,
-//! `BenchmarkId`) and, when actually run via `cargo bench`, execute each
-//! closure a bounded number of times and print mean wall-clock per
-//! iteration. There is no statistical analysis, warm-up tuning, or HTML
-//! report — swap in the real crate for that.
+//! `benchmark_group`, `bench_function`, `bench_with_input`, `iter`,
+//! `iter_custom`, `Throughput`, `BenchmarkId`) and, when actually run via
+//! `cargo bench`, execute each closure a bounded number of times and print
+//! mean wall-clock per iteration. There is no statistical analysis,
+//! warm-up tuning, or HTML report — swap in the real crate for that.
 //!
 //! Two environment hooks feed the repo's perf-trajectory CI:
 //!
@@ -22,7 +22,7 @@
 
 use std::fmt;
 use std::io::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
@@ -116,6 +116,18 @@ impl Bencher {
         let elapsed = start.elapsed();
         let per_iter = elapsed / self.samples as u32;
         println!("    {:>12?} /iter ({} iters)", per_iter, self.samples);
+        report_sample(&self.name, elapsed.as_nanos() as f64 / self.samples as f64, self.samples);
+    }
+
+    /// Let the routine time itself: `routine(iters)` runs `iters`
+    /// iterations and returns the time they took, so per-iteration setup
+    /// and teardown can stay outside the measurement. Same signature as
+    /// the real crate's `Bencher::iter_custom`.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        // One untimed warm-up iteration, then `samples` timed ones.
+        black_box(routine(1));
+        let elapsed = routine(self.samples as u64);
+        println!("    {:>12?} /iter ({} iters)", elapsed / self.samples as u32, self.samples);
         report_sample(&self.name, elapsed.as_nanos() as f64 / self.samples as f64, self.samples);
     }
 }
@@ -247,5 +259,19 @@ mod tests {
         group.throughput(Throughput::Elements(5));
         group.bench_with_input(BenchmarkId::new("f", 1), &3, |b, &x| b.iter(|| x * 2));
         group.finish();
+    }
+
+    #[test]
+    fn iter_custom_reports_the_routines_own_time() {
+        let mut c = Criterion::default();
+        let mut asked = Vec::new();
+        c.sample_size(3).bench_function("custom", |b| {
+            b.iter_custom(|iters| {
+                asked.push(iters);
+                Duration::from_nanos(10 * iters)
+            })
+        });
+        // One warm-up iteration, then all timed iterations in one call.
+        assert_eq!(asked, vec![1, 3]);
     }
 }

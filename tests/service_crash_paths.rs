@@ -1,4 +1,4 @@
-//! Crash paths of the sharded [`MonitorService`]: a shard task that
+//! Crash paths of the sharded [`MonitorService`]: a shard whose drain
 //! panics mid-ingest must degrade the service, never wedge it. Reads and
 //! swaps against a service with one dead shard come back as typed errors
 //! (`ShardDown` / `SwapError`) — never a hang, never a panic in the

@@ -171,3 +171,139 @@ fn service_registration_errors_and_late_join_are_graceful() {
     assert_eq!(service.query_progress(late), Ok(1.0));
     service.shutdown();
 }
+
+/// Release-mode stress of the workers' park/wake handshake (CI runs it
+/// optimized): 8 shards on 2 workers, two producers alternating small
+/// bursts on random shards with idle gaps, some long enough for the
+/// workers to park and some short enough to race a worker on its way
+/// into the park. Every burst ends in a blocking `ingest`, which must
+/// return with the whole burst visible; a watchdog turns a hang into a
+/// failure instead of a stuck CI job. A lost wakeup would only cost the
+/// 10 ms park timeout, so the typical `ingest` must also stay far below
+/// that.
+#[test]
+fn park_wake_stress_drains_every_burst() {
+    use prosel::engine::plan::{OperatorKind, PhysicalPlan, PlanNode};
+    use prosel::engine::trace::{Snapshot, TraceEvent};
+    use prosel::monitor::RuntimeConfig;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use std::time::{Duration, Instant};
+
+    const SHARDS: usize = 8;
+    const PRODUCERS: usize = 2;
+    const QUERIES: usize = 64;
+    const ROUNDS: usize = 150;
+
+    let plan = PhysicalPlan {
+        nodes: vec![PlanNode {
+            op: OperatorKind::TableScan { table: "t".into(), cols: vec![0] },
+            children: vec![],
+            est_rows: 1000.0,
+            est_row_bytes: 8.0,
+            out_cols: 1,
+        }],
+        root: 0,
+    };
+    let snapshot = |query: usize, seq: u64| {
+        let k = seq + 1;
+        TraceEvent::Snapshot {
+            query,
+            seq,
+            wall: k as f64,
+            snapshot: Snapshot {
+                time: k as f64,
+                k: vec![k].into_boxed_slice(),
+                bytes_read: vec![k * 8].into_boxed_slice(),
+                bytes_written: vec![0].into_boxed_slice(),
+                materialized: vec![0].into_boxed_slice(),
+            },
+            windows: vec![(1.0, k as f64)].into_boxed_slice(),
+        }
+    };
+
+    let service = MonitorBuilder::fixed(EstimatorKind::Dne)
+        .shards(SHARDS)
+        .runtime(RuntimeConfig { worker_threads: 2, ..RuntimeConfig::default() })
+        .build_service()
+        .expect("build");
+    assert_eq!(service.n_workers(), 2);
+    for q in 0..QUERIES {
+        service.register(q, &plan);
+    }
+    let parks = || service.metrics().counter("runtime_parks_total").unwrap_or(0);
+    let parks_before = parks();
+
+    // Producer `p` owns the queries with `(q / SHARDS) % PRODUCERS == p`:
+    // `QUERIES / SHARDS / PRODUCERS` of them on every shard, so each
+    // query's stream has one writer and stays in sequence.
+    let outcomes: Vec<(Vec<u64>, Vec<Duration>)> = std::thread::scope(|scope| {
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let service = &service;
+                let snapshot = &snapshot;
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0x5EED + p as u64);
+                    let mut seqs = vec![0u64; QUERIES];
+                    let mut waits = Vec::with_capacity(ROUNDS);
+                    let tap = service.tap();
+                    for _ in 0..ROUNDS {
+                        let shard = rng.random_range(0..SHARDS);
+                        let burst: Vec<usize> = (shard..QUERIES)
+                            .step_by(SHARDS)
+                            .filter(|q| (q / SHARDS) % PRODUCERS == p)
+                            .collect();
+                        let (last, rest) = burst.split_last().expect("non-empty burst");
+                        for &q in rest {
+                            tap.send(snapshot(q, seqs[q])).expect("shard alive");
+                            seqs[q] += 1;
+                        }
+                        // Read-your-writes: the shard is FIFO, so once the
+                        // last event is drained the whole burst is.
+                        let start = Instant::now();
+                        service.ingest(snapshot(*last, seqs[*last]));
+                        waits.push(start.elapsed());
+                        seqs[*last] += 1;
+                        for &q in &burst {
+                            let want = seqs[q] as f64 / 1000.0;
+                            let got = service.query_progress(q).expect("registered");
+                            assert!((got - want).abs() < 1e-12, "q{q}: {got} != {want}");
+                        }
+                        match rng.random_range(0..4) {
+                            0 => {}
+                            1 => std::thread::yield_now(),
+                            2 => std::thread::sleep(Duration::from_micros(200)),
+                            _ => std::thread::sleep(Duration::from_millis(3)),
+                        }
+                    }
+                    (seqs, waits)
+                })
+            })
+            .collect();
+        let start = Instant::now();
+        while producers.iter().any(|h| !h.is_finished()) {
+            assert!(start.elapsed() < Duration::from_secs(60), "a burst was never drained");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        producers.into_iter().map(|h| h.join().expect("producer")).collect()
+    });
+
+    let (sent, waits): (Vec<Vec<u64>>, Vec<Vec<Duration>>) = outcomes.into_iter().unzip();
+    let mut waits: Vec<Duration> = waits.into_iter().flatten().collect();
+    waits.sort_unstable();
+    let median = waits[waits.len() / 2];
+    assert!(median < Duration::from_millis(2), "median ingest {median:?}: lost wakeups?");
+
+    service.quiesce();
+    let total: u64 = sent.iter().flatten().sum();
+    let stats = service.stats().expect("stats");
+    assert_eq!(stats.events_ingested, total, "conservation: every sent event was ingested");
+    assert_eq!((stats.events_unroutable, stats.events_rejected), (0, 0));
+    for q in 0..QUERIES {
+        let seq: u64 = sent.iter().map(|s| s[q]).sum();
+        let got = service.query_progress(q).expect("registered");
+        assert!((got - seq as f64 / 1000.0).abs() < 1e-12, "q{q} final progress");
+    }
+    assert!(parks() > parks_before, "the workers never parked: the park path did not run");
+    service.shutdown();
+}
